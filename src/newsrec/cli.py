@@ -9,9 +9,11 @@ abort.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -21,9 +23,10 @@ from . import evaluation
 from .data import (DataError, SyntheticSpec, dataset_summary, generate_synthetic,
                    parse_behaviors_tsv, parse_news_tsv, split_dataset,
                    validate_dataset, write_behaviors_tsv, write_news_tsv)
-from .encoders import MINI_PLM, NewsEncoderSpec, param_count
+from .encoders import MINI_PLM, NewsEncoderSpec, build_news_encoder
 from .model import ModelSpec, NewsTokenTable, Recommender
-from .tensor import NumericalError, load_checkpoint, save_checkpoint
+from .tensor import (CheckpointError, NumericalError, load_checkpoint,
+                     save_checkpoint)
 from .text import build_vocab, tokenize
 from .training import (TrainConfig, build_training_samples, mlm_pretrain, train)
 from .users import UserEncoderSpec
@@ -65,7 +68,7 @@ _ALLOWED = {
     "eval": {"split", "metrics"},
     "compare": {"axis", "variants", "num_seeds", "epochs"},
 }
-_SYNTH_KEYS = set(SyntheticSpec().to_dict())
+_SYNTH_KEYS = {f.name for f in fields(SyntheticSpec)}
 
 
 def _check_keys(section: dict, path: str):
@@ -117,11 +120,20 @@ def model_spec_from(cfg: dict) -> ModelSpec:
 
 def train_config_from(cfg: dict, seed: int) -> TrainConfig:
     t = {k: v for k, v in cfg.get("train", {}).items()
-         if k not in ("mlm_epochs", "mlm_learning_rate")}
+         if k not in ("mlm_rate", "mlm_epochs", "mlm_learning_rate")}
     try:
         return TrainConfig(seed=seed, **t)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid train section: {e}") from e
+
+
+def synthetic_spec_from(synth: dict, seed: int) -> SyntheticSpec:
+    """A ``dataset.synthetic`` section as a spec; its seed defaults to the
+    run seed."""
+    try:
+        return SyntheticSpec(**{"seed": seed, **synth})
+    except (TypeError, DataError) as e:
+        raise ConfigError(f"invalid synthetic spec: {e}") from e
 
 
 class DatasetBundle:
@@ -133,15 +145,9 @@ class DatasetBundle:
             raise ConfigError("config has no dataset section")
         self.per_market = {}
         if "synthetic" in ds:
-            synth = dict(ds["synthetic"])
-            synth.setdefault("seed", seed)
-            try:
-                self.spec = SyntheticSpec(**synth)
-            except (TypeError, DataError) as e:
-                raise ConfigError(f"invalid synthetic spec: {e}") from e
-            self.per_market = generate_synthetic(self.spec)
+            self.per_market = generate_synthetic(
+                synthetic_spec_from(ds["synthetic"], seed))
         elif "paths" in ds:
-            self.spec = None
             for entry in ds["paths"]:
                 market = entry.get("market", "EN-US")
                 arts, bad_n = parse_news_tsv(entry["news"], market=market)
@@ -192,13 +198,16 @@ class DatasetBundle:
 
 
 class Manifest:
+    """The files a command writes under ``out_dir``, listed with the config
+    hash in ``manifest.json``."""
+
     def __init__(self, out_dir: Path, cfg: dict):
         self.out_dir = out_dir
         self.cfg_hash = config_hash(cfg)
         self.files: list[str] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files.append(name)
         return self.out_dir / name
 
@@ -208,11 +217,54 @@ class Manifest:
             json.dump(payload, f, indent=2, sort_keys=True)
 
 
-def _build_model(cfg, bundle, seed) -> tuple[Recommender, NewsTokenTable]:
+def _build_model(cfg, bundle, seed,
+                 checkpoint=None) -> tuple[Recommender, NewsTokenTable]:
     mspec = model_spec_from(cfg)
     model = Recommender(mspec, bundle.vocab, user_ids=bundle.user_ids, seed=seed)
+    if checkpoint:
+        model.load(checkpoint)
     table = NewsTokenTable(bundle.articles, bundle.vocab, mspec.max_title_len)
     return model, table
+
+
+def _pretrain(cfg, bundle, seed, ckpt_path: Path):
+    """MLM-pretrain a fresh mini PLM on the bundle's titles and save it, with
+    the MLM output bias, to ``ckpt_path``.  Returns (encoder, epoch losses)."""
+    mspec = model_spec_from(cfg)
+    if mspec.news.kind != MINI_PLM:
+        raise ConfigError("pretraining requires news_encoder.kind=mini_plm")
+    encoder = build_news_encoder(mspec.news, bundle.vocab.size,
+                                 mspec.max_title_len, seed=seed)
+    seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
+            for a in bundle.articles]
+    t = cfg.get("train", {})
+    out_bias, losses = mlm_pretrain(
+        seqs, encoder, bundle.vocab.size,
+        mask_rate=t.get("mlm_rate", 0.15),
+        epochs=t.get("mlm_epochs", 40),
+        learning_rate=t.get("mlm_learning_rate", 3e-3),
+        seed=seed)
+    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(ckpt_path, {**encoder.params, "mlm.out_bias": out_bias})
+    return encoder, losses
+
+
+def _train_once(cfg, bundle, seed, from_pretrained=None):
+    model, table = _build_model(cfg, bundle, seed)
+    if from_pretrained:
+        arrays = load_checkpoint(from_pretrained)
+        model.load_state({"news." + k: v for k, v in arrays.items()
+                          if k != "mlm.out_bias"}, strict=False)
+        model.apply_finetune_policy()
+    tcfg = train_config_from(cfg, seed)
+    samples, skipped = build_training_samples(
+        bundle.splits["train"], tcfg.negatives_k, seed=seed,
+        history_cap=model.spec.history_cap)
+    if skipped:
+        click.echo(f"skipped {skipped} click(s) without negatives", err=True)
+    result = train(model, table, samples, tcfg,
+                   valid_impressions=bundle.splits["valid"])
+    return model, table, result
 
 
 # ---------------------------------------------------------------------------
@@ -225,185 +277,124 @@ def main():
     """Two-tower news recommendation experiments."""
 
 
-def _common(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=False))(fn)
-    fn = click.option("--out", "out_dir", default="out",
-                      type=click.Path(file_okay=False))(fn)
-    fn = click.option("--seed", default=None, type=int,
-                      help="override the config seed")(fn)
-    return fn
+def _command(name: str, *options):
+    """Register the decorated body as subcommand ``name``, with --config,
+    --out and --seed followed by ``options``.
+
+    The body is called as ``body(cfg, seed, manifest, **options)`` with the
+    loaded config, the run seed (``--seed``, else the config's) and the
+    Manifest of ``--out``, which is written when the body returns.
+    Exceptions become the documented exit codes.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def command(config_path, out_dir, seed, **kwargs):
+            try:
+                cfg = load_config(config_path)
+                manifest = Manifest(Path(out_dir), cfg)
+                body(cfg, cfg.get("seed", 0) if seed is None else seed,
+                     manifest, **kwargs)
+                manifest.write()
+            except ConfigError as e:
+                click.echo(f"config error: {e}", err=True)
+                sys.exit(EXIT_CONFIG)
+            except (DataError, CheckpointError, FileNotFoundError) as e:
+                click.echo(f"data error: {e}", err=True)
+                sys.exit(EXIT_DATA)
+            except NumericalError as e:
+                click.echo(f"numerical abort: {e}", err=True)
+                sys.exit(EXIT_NUMERICAL)
+
+        common = (click.option("--config", "config_path", required=True,
+                               type=click.Path(exists=False)),
+                  click.option("--out", "out_dir", default="out",
+                               type=click.Path(file_okay=False)),
+                  click.option("--seed", default=None, type=int,
+                               help="override the config seed"))
+        for option in reversed(common + options):
+            command = option(command)
+        return main.command(name)(command)
+    return register
 
 
-def _run(fn):
-    """Translate exceptions into the documented exit codes."""
-    try:
-        fn()
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except (DataError, FileNotFoundError) as e:
-        click.echo(f"data error: {e}", err=True)
-        sys.exit(EXIT_DATA)
-    except NumericalError as e:
-        click.echo(f"numerical abort: {e}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+_checkpoint_option = click.option("--checkpoint", default=None,
+                                  type=click.Path(exists=False))
 
 
-@main.command("gen-data")
-@_common
-def cmd_gen_data(config_path, out_dir, seed):
+@_command("gen-data")
+def cmd_gen_data(cfg, seed, manifest):
     """Generate synthetic TSV datasets and print a summary table."""
-
-    def body():
-        cfg = load_config(config_path)
-        run_seed = seed if seed is not None else cfg.get("seed", 0)
-        ds = cfg.get("dataset", {})
-        if "synthetic" not in ds:
-            raise ConfigError("gen-data requires a dataset.synthetic section")
-        synth = dict(ds["synthetic"])
-        synth.setdefault("seed", run_seed)
-        try:
-            spec = SyntheticSpec(**synth)
-        except TypeError as e:
-            raise ConfigError(f"invalid synthetic spec: {e}") from e
-        per_market = generate_synthetic(spec)
-        manifest = Manifest(Path(out_dir), cfg)
-        multi = len(per_market) > 1
-        for market, (arts, imps) in per_market.items():
-            suffix = f".{market}" if multi else ""
-            write_news_tsv(manifest.path(f"news{suffix}.tsv"), arts)
-            write_behaviors_tsv(manifest.path(f"behaviors{suffix}.tsv"), imps)
-            summary = dataset_summary(arts, imps)
-            click.echo(f"market {market}")
-            for key, val in summary.items():
-                click.echo(f"  {key:20s} {val:>10,}")
-        manifest.write()
-
-    _run(body)
+    ds = cfg.get("dataset", {})
+    if "synthetic" not in ds:
+        raise ConfigError("gen-data requires a dataset.synthetic section")
+    per_market = generate_synthetic(synthetic_spec_from(ds["synthetic"], seed))
+    multi = len(per_market) > 1
+    for market, (arts, imps) in per_market.items():
+        suffix = f".{market}" if multi else ""
+        write_news_tsv(manifest.path(f"news{suffix}.tsv"), arts)
+        write_behaviors_tsv(manifest.path(f"behaviors{suffix}.tsv"), imps)
+        summary = dataset_summary(arts, imps)
+        click.echo(f"market {market}")
+        for key, val in summary.items():
+            click.echo(f"  {key:20s} {val:>10,}")
 
 
-@main.command("pretrain")
-@_common
-def cmd_pretrain(config_path, out_dir, seed):
+@_command("pretrain")
+def cmd_pretrain(cfg, seed, manifest):
     """MLM-pretrain the mini PLM news encoder on the dataset's titles."""
-
-    def body():
-        cfg = load_config(config_path)
-        run_seed = seed if seed is not None else cfg.get("seed", 0)
-        bundle = DatasetBundle(cfg, run_seed)
-        mspec = model_spec_from(cfg)
-        if mspec.news.kind != MINI_PLM:
-            raise ConfigError("pretraining requires news_encoder.kind=mini_plm")
-        from .encoders import build_news_encoder
-        encoder = build_news_encoder(mspec.news, bundle.vocab.size,
-                                     mspec.max_title_len, seed=run_seed)
-        n_params = param_count(mspec.news, bundle.vocab.size, mspec.max_title_len)
-        click.echo(f"encoder depth={mspec.news.depth} d={mspec.news.d_model} "
-                   f"param_count={n_params}")
-        seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
-                for a in bundle.articles]
-        t = cfg.get("train", {})
-        out_bias, losses = mlm_pretrain(
-            seqs, encoder, bundle.vocab.size,
-            mask_rate=t.get("mlm_rate", 0.15),
-            epochs=t.get("mlm_epochs", 40),
-            learning_rate=t.get("mlm_learning_rate", 3e-3),
-            seed=run_seed)
-        manifest = Manifest(Path(out_dir), cfg)
-        ckpt = dict(encoder.params)
-        ckpt["mlm.out_bias"] = out_bias
-        save_checkpoint(manifest.path("pretrained.ckpt"), ckpt)
-        bundle.vocab.save(manifest.path("vocab.txt"))
-        with open(manifest.path("pretrain_loss.csv"), "w", encoding="utf-8") as f:
-            f.write("epoch,mlm_loss\n")
-            for i, loss in enumerate(losses, 1):
-                f.write(f"{i},{loss:.6f}\n")
-        manifest.write()
-        click.echo(f"final MLM loss {losses[-1]:.4f}")
-
-    _run(body)
+    bundle = DatasetBundle(cfg, seed)
+    encoder, losses = _pretrain(cfg, bundle, seed,
+                                manifest.out_dir / "pretrained.ckpt")
+    manifest.files.append("pretrained.ckpt")
+    n_params = sum(p.size for p in encoder.params.values())
+    click.echo(f"encoder depth={encoder.spec.depth} d={encoder.spec.d_model} "
+               f"param_count={n_params}")
+    bundle.vocab.save(manifest.path("vocab.txt"))
+    with open(manifest.path("pretrain_loss.csv"), "w", encoding="utf-8") as f:
+        f.write("epoch,mlm_loss\n")
+        for i, loss in enumerate(losses, 1):
+            f.write(f"{i},{loss:.6f}\n")
+    click.echo(f"final MLM loss {losses[-1]:.4f}")
 
 
-def _train_once(cfg, bundle, run_seed, from_pretrained=None, scratch=True):
-    model, table = _build_model(cfg, bundle, run_seed)
-    if from_pretrained:
-        arrays = load_checkpoint(from_pretrained)
-        model.load_state({"news." + k: v for k, v in arrays.items()
-                          if k != "mlm.out_bias"}, strict=False)
-        model.apply_finetune_policy()
-    tcfg = train_config_from(cfg, run_seed)
-    samples, skipped = build_training_samples(
-        bundle.splits["train"], tcfg.negatives_k, seed=run_seed,
-        history_cap=model.spec.history_cap)
-    if skipped:
-        click.echo(f"skipped {skipped} click(s) without negatives", err=True)
-    result = train(model, table, samples, tcfg,
-                   valid_impressions=bundle.splits["valid"])
-    return model, table, result
-
-
-@main.command("train")
-@_common
-@click.option("--from-pretrained", "pretrained", default=None,
-              type=click.Path(exists=False),
-              help="initialize the news encoder from a pretrain checkpoint "
-                   "and apply the finetune policy")
-@click.option("--scratch", is_flag=True, help="random initialization (default)")
-def cmd_train(config_path, out_dir, seed, pretrained, scratch):
+@_command("train",
+          click.option("--from-pretrained", "pretrained", default=None,
+                       type=click.Path(exists=False),
+                       help="initialize the news encoder from a pretrain "
+                            "checkpoint and apply the finetune policy"))
+def cmd_train(cfg, seed, manifest, pretrained):
     """Train the two-tower model with listwise negative-sampling loss."""
-
-    def body():
-        cfg = load_config(config_path)
-        run_seed = seed if seed is not None else cfg.get("seed", 0)
-        bundle = DatasetBundle(cfg, run_seed)
-        model, table, result = _train_once(cfg, bundle, run_seed,
-                                           from_pretrained=pretrained)
-        manifest = Manifest(Path(out_dir), cfg)
-        model.save(manifest.path("model.ckpt"), manifest.path("user_ids.txt"))
-        bundle.vocab.save(manifest.path("vocab.txt"))
-        result.write_csv(manifest.path("loss.csv"))
-        manifest.write()
-        last = result.history[-1]
-        click.echo(f"epoch {last['epoch']}: train_loss={last['train_loss']:.4f} "
-                   f"valid_auc={last['valid_auc']:.4f}")
-
-    _run(body)
+    bundle = DatasetBundle(cfg, seed)
+    model, table, result = _train_once(cfg, bundle, seed,
+                                       from_pretrained=pretrained)
+    model.save(manifest.path("model.ckpt"), manifest.path("user_ids.txt"))
+    bundle.vocab.save(manifest.path("vocab.txt"))
+    result.write_csv(manifest.path("loss.csv"))
+    last = result.history[-1]
+    click.echo(f"epoch {last['epoch']}: train_loss={last['train_loss']:.4f} "
+               f"valid_auc={last['valid_auc']:.4f}")
 
 
-@main.command("evaluate")
-@_common
-@click.option("--checkpoint", default=None, type=click.Path(exists=False))
-@click.option("--oracle", is_flag=True,
-              help="debug scorer: scores equal labels (all metrics 1.0)")
-def cmd_evaluate(config_path, out_dir, seed, checkpoint, oracle):
+@_command("evaluate", _checkpoint_option,
+          click.option("--oracle", is_flag=True,
+                       help="debug scorer: scores equal labels "
+                            "(all metrics 1.0)"))
+def cmd_evaluate(cfg, seed, manifest, checkpoint, oracle):
     """Evaluate a checkpoint on the test split; write an EvalReport JSON."""
-
-    def body():
-        cfg = load_config(config_path)
-        run_seed = seed if seed is not None else cfg.get("seed", 0)
-        bundle = DatasetBundle(cfg, run_seed)
-        model, table = _build_model(cfg, bundle, run_seed)
-        if checkpoint:
-            model.load(checkpoint)
-        split = cfg.get("eval", {}).get("split", "test")
-        impressions = bundle.splits[split]
-        override = (lambda labels: labels.astype(float)) if oracle else None
-        report = evaluation.evaluate(model, impressions, table,
-                                     score_override=override)
-        manifest = Manifest(Path(out_dir), cfg)
-        with open(manifest.path("report.json"), "w", encoding="utf-8") as f:
-            f.write(report.to_json())
-        with open(manifest.path("per_impression.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write("auc,mrr,ndcg5,ndcg10,num_candidates,num_positives\n")
-            for m in report.per_impression:
-                f.write(f"{m.auc:.12f},{m.mrr:.12f},{m.ndcg5:.12f},"
-                        f"{m.ndcg10:.12f},{m.num_candidates},{m.num_positives}\n")
-        manifest.write()
-        click.echo(json.dumps(report.means, sort_keys=True))
-
-    _run(body)
+    bundle = DatasetBundle(cfg, seed)
+    model, table = _build_model(cfg, bundle, seed, checkpoint)
+    split = cfg.get("eval", {}).get("split", "test")
+    override = (lambda labels: labels.astype(float)) if oracle else None
+    report = evaluation.evaluate(model, bundle.splits[split], table,
+                                 score_override=override)
+    with open(manifest.path("report.json"), "w", encoding="utf-8") as f:
+        f.write(report.to_json())
+    with open(manifest.path("per_impression.csv"), "w", encoding="utf-8") as f:
+        f.write("auc,mrr,ndcg5,ndcg10,num_candidates,num_positives\n")
+        for m in report.per_impression:
+            f.write(f"{m.auc:.12f},{m.mrr:.12f},{m.ndcg5:.12f},"
+                    f"{m.ndcg10:.12f},{m.num_candidates},{m.num_positives}\n")
+    click.echo(json.dumps(report.means, sort_keys=True))
 
 
 def _compare_variants(cfg):
@@ -439,80 +430,49 @@ def _apply_variant(cfg, axis, variant):
     return out
 
 
-@main.command("compare")
-@_common
-def cmd_compare(config_path, out_dir, seed):
+@_command("compare")
+def cmd_compare(cfg, seed, manifest):
     """Train variants along one axis over several seeds; emit a table."""
-
-    def body():
-        cfg = load_config(config_path)
-        base_seed = seed if seed is not None else cfg.get("seed", 0)
-        axis, variants, num_seeds = _compare_variants(cfg)
-        manifest = Manifest(Path(out_dir), cfg)
-        rows = []
-        for variant in variants:
-            vcfg = _apply_variant(cfg, axis, variant)
-            metrics = {"auc": [], "mrr": [], "ndcg5": [], "ndcg10": []}
-            pcount = None
-            for s in range(num_seeds):
-                run_seed = base_seed + s
-                bundle = DatasetBundle(vcfg, run_seed)
-                pretrained_path = None
-                if axis == "pretraining" and variant == "pretrained":
-                    pre_dir = Path(out_dir) / f"pretrain_seed{run_seed}"
-                    _pretrain_for_compare(vcfg, bundle, run_seed, pre_dir)
-                    pretrained_path = pre_dir / "pretrained.ckpt"
-                model, table, _ = _train_once(vcfg, bundle, run_seed,
-                                              from_pretrained=pretrained_path)
-                report = evaluation.evaluate(model, bundle.splits["test"], table)
-                for k in metrics:
-                    metrics[k].append(report.means[k])
-                pcount = model.total_param_count()
-            row = {"variant": str(variant), "param_count": pcount}
-            for k, vals in metrics.items():
-                row[f"{k}_mean"] = float(np.mean(vals))
-                row[f"{k}_std"] = float(np.std(vals))
-            ref = REFERENCE_AUC.get(str(variant).lower())
-            row["reference_auc"] = "" if ref is None else f"{ref} ({REFERENCE_NOTE})"
-            rows.append(row)
-            click.echo(f"{variant}: auc={row['auc_mean']:.4f}"
-                       f"±{row['auc_std']:.4f} params={pcount}")
-        cols = list(rows[0])
-        with open(manifest.path("comparison.csv"), "w", encoding="utf-8") as f:
-            f.write(",".join(cols) + "\n")
-            for row in rows:
-                f.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-        with open(manifest.path("comparison.txt"), "w", encoding="utf-8") as f:
-            f.write(f"axis: {axis} ({num_seeds} seeds)\n")
-            for row in rows:
-                f.write(f"{row['variant']:>12s}  auc {row['auc_mean']:.4f}"
-                        f"±{row['auc_std']:.4f}  params {row['param_count']}"
-                        + (f"  [{row['reference_auc']}]"
-                           if row["reference_auc"] else "") + "\n")
-        manifest.write()
-
-    _run(body)
-
-
-def _pretrain_for_compare(cfg, bundle, run_seed, out_dir: Path):
-    from .encoders import build_news_encoder
-    mspec = model_spec_from(cfg)
-    if mspec.news.kind != MINI_PLM:
-        raise ConfigError("pretraining variants require news_encoder.kind=mini_plm")
-    encoder = build_news_encoder(mspec.news, bundle.vocab.size,
-                                 mspec.max_title_len, seed=run_seed)
-    seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
-            for a in bundle.articles]
-    t = cfg.get("train", {})
-    out_bias, _ = mlm_pretrain(seqs, encoder, bundle.vocab.size,
-                               mask_rate=t.get("mlm_rate", 0.15),
-                               epochs=t.get("mlm_epochs", 40),
-                               learning_rate=t.get("mlm_learning_rate", 3e-3),
-                               seed=run_seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = dict(encoder.params)
-    ckpt["mlm.out_bias"] = out_bias
-    save_checkpoint(out_dir / "pretrained.ckpt", ckpt)
+    axis, variants, num_seeds = _compare_variants(cfg)
+    rows = []
+    for variant in variants:
+        vcfg = _apply_variant(cfg, axis, variant)
+        metrics = {"auc": [], "mrr": [], "ndcg5": [], "ndcg10": []}
+        pcount = None
+        for run_seed in range(seed, seed + num_seeds):
+            bundle = DatasetBundle(vcfg, run_seed)
+            pretrained_path = None
+            if axis == "pretraining" and variant == "pretrained":
+                pretrained_path = (manifest.out_dir / f"pretrain_seed{run_seed}"
+                                   / "pretrained.ckpt")
+                _pretrain(vcfg, bundle, run_seed, pretrained_path)
+            model, table, _ = _train_once(vcfg, bundle, run_seed,
+                                          from_pretrained=pretrained_path)
+            report = evaluation.evaluate(model, bundle.splits["test"], table)
+            for k in metrics:
+                metrics[k].append(report.means[k])
+            pcount = model.total_param_count()
+        row = {"variant": str(variant), "param_count": pcount}
+        for k, vals in metrics.items():
+            row[f"{k}_mean"] = float(np.mean(vals))
+            row[f"{k}_std"] = float(np.std(vals))
+        ref = REFERENCE_AUC.get(str(variant).lower())
+        row["reference_auc"] = "" if ref is None else f"{ref} ({REFERENCE_NOTE})"
+        rows.append(row)
+        click.echo(f"{variant}: auc={row['auc_mean']:.4f}"
+                   f"±{row['auc_std']:.4f} params={pcount}")
+    cols = list(rows[0])
+    with open(manifest.path("comparison.csv"), "w", encoding="utf-8") as f:
+        f.write(",".join(cols) + "\n")
+        for row in rows:
+            f.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+    with open(manifest.path("comparison.txt"), "w", encoding="utf-8") as f:
+        f.write(f"axis: {axis} ({num_seeds} seeds)\n")
+        for row in rows:
+            f.write(f"{row['variant']:>12s}  auc {row['auc_mean']:.4f}"
+                    f"±{row['auc_std']:.4f}  params {row['param_count']}"
+                    + (f"  [{row['reference_auc']}]"
+                       if row["reference_auc"] else "") + "\n")
 
 
 def _csv_cell(v):
@@ -520,38 +480,25 @@ def _csv_cell(v):
     return '"' + s + '"' if "," in s else s
 
 
-@main.command("export-embeddings")
-@_common
-@click.option("--checkpoint", default=None, type=click.Path(exists=False))
-def cmd_export_embeddings(config_path, out_dir, seed, checkpoint):
+@_command("export-embeddings", _checkpoint_option)
+def cmd_export_embeddings(cfg, seed, manifest, checkpoint):
     """Project news embeddings to 2-D and score topic discriminability."""
-
-    def body():
-        cfg = load_config(config_path)
-        run_seed = seed if seed is not None else cfg.get("seed", 0)
-        bundle = DatasetBundle(cfg, run_seed)
-        model, table = _build_model(cfg, bundle, run_seed)
-        if checkpoint:
-            model.load(checkpoint)
-        emb = evaluation.encode_all_news(model, table)
-        proj, ratios = evaluation.pca_project(emb, out_dims=2)
-        labels = bundle.topic_labels(table)
-        silhouette = evaluation.discriminability(emb, labels)
-        manifest = Manifest(Path(out_dir), cfg)
-        with open(manifest.path("embeddings_2d.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write("news_id,x,y,topic_id\n")
-            for nid, (x, y), lab in zip(table.news_ids, proj, labels):
-                f.write(f"{nid},{x:.6f},{y:.6f},{lab}\n")
-        with open(manifest.path("embedding_summary.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump({"silhouette": silhouette,
-                       "explained_variance_ratio": list(map(float, ratios))},
-                      f, indent=2, sort_keys=True)
-        manifest.write()
-        click.echo(f"silhouette={silhouette:.4f}")
-
-    _run(body)
+    bundle = DatasetBundle(cfg, seed)
+    model, table = _build_model(cfg, bundle, seed, checkpoint)
+    emb = evaluation.encode_all_news(model, table)
+    proj, ratios = evaluation.pca_project(emb, out_dims=2)
+    labels = bundle.topic_labels(table)
+    silhouette = evaluation.discriminability(emb, labels)
+    with open(manifest.path("embeddings_2d.csv"), "w", encoding="utf-8") as f:
+        f.write("news_id,x,y,topic_id\n")
+        for nid, (x, y), lab in zip(table.news_ids, proj, labels):
+            f.write(f"{nid},{x:.6f},{y:.6f},{lab}\n")
+    with open(manifest.path("embedding_summary.json"), "w",
+              encoding="utf-8") as f:
+        json.dump({"silhouette": silhouette,
+                   "explained_variance_ratio": list(map(float, ratios))},
+                  f, indent=2, sort_keys=True)
+    click.echo(f"silhouette={silhouette:.4f}")
 
 
 if __name__ == "__main__":

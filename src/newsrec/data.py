@@ -65,16 +65,6 @@ class SyntheticSpec:
         if self.shared_vocab < 0 or not self.markets:
             raise DataError("inconsistent synthetic spec")
 
-    def to_dict(self) -> dict:
-        return dict(num_topics=self.num_topics, vocab_per_topic=self.vocab_per_topic,
-                    shared_vocab=self.shared_vocab, num_users=self.num_users,
-                    num_news=self.num_news,
-                    impressions_per_user=self.impressions_per_user,
-                    candidates_per_impression=self.candidates_per_impression,
-                    user_topic_concentration=self.user_topic_concentration,
-                    click_temperature=self.click_temperature,
-                    markets=list(self.markets), seed=self.seed)
-
 
 # ---------------------------------------------------------------------------
 # MIND-format parsing

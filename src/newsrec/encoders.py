@@ -10,13 +10,12 @@ attention over all real tokens including CLS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .text import TokenSequence
 
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
 
@@ -31,7 +30,7 @@ POOL_ATTENTION = "attention"
 POOL_MODES = (POOL_CLS, POOL_AVERAGE, POOL_ATTENTION)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewsEncoderSpec:
     kind: str = MINI_PLM
     d_model: int = 64
@@ -55,25 +54,6 @@ class NewsEncoderSpec:
             raise ValueError("conv_window must be odd")
         if self.kind == MINI_PLM and not 0 <= self.finetune_last_k <= self.depth:
             raise ValueError("finetune_last_k must be in [0, depth]")
-
-    def to_dict(self) -> dict:
-        return dict(kind=self.kind, d_model=self.d_model, num_heads=self.num_heads,
-                    depth=self.depth, conv_window=self.conv_window,
-                    pooling=self.pooling, finetune_last_k=self.finetune_last_k,
-                    dropout=self.dropout)
-
-
-@dataclass
-class TokenHiddenStates:
-    """Per-token contextual states for one sequence (M x d_model)."""
-
-    states: Tensor
-    mask: np.ndarray
-
-
-@dataclass
-class NewsEmbedding:
-    vector: Tensor
 
 
 INIT_STD = 0.02
@@ -154,12 +134,6 @@ class NewsEncoderBase:
         """(B, M) -> (B, d) pooled news embeddings."""
         return pool_batch(self.forward(ids, mask, rng=rng), mask,
                           self.spec.pooling, self.params)
-
-    def encode(self, seq: TokenSequence) -> TokenHiddenStates:
-        ids = np.asarray([seq.ids], dtype=np.int64)
-        mask = np.asarray([seq.mask], dtype=np.float64)
-        states = T.reshape(self.forward(ids, mask), (len(seq.ids), self.spec.d_model))
-        return TokenHiddenStates(states=states, mask=mask[0])
 
     def _dropout(self, x, rng):
         if self.spec.dropout > 0.0 and rng is not None:
@@ -294,16 +268,7 @@ def pool_batch(states: Tensor, mask: np.ndarray, mode: str, params: dict) -> Ten
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def pool(states: TokenHiddenStates, mode: str, params: dict) -> NewsEmbedding:
-    """Single-sequence pooling over M x d states."""
-    M, d = states.states.shape
-    batched = T.reshape(states.states, (1, M, d))
-    return NewsEmbedding(vector=T.reshape(
-        pool_batch(batched, states.mask[None, :], mode, params), (d,)))
-
-
-def apply_finetune_policy(encoder: NewsEncoderBase, finetune_last_k: int,
-                          train_embeddings: bool = False):
+def apply_finetune_policy(encoder: NewsEncoderBase, finetune_last_k: int):
     """Freeze embeddings and all but the top k transformer blocks.
 
     Returns (trainable_names, frozen_names).  Pooling parameters and the
@@ -317,29 +282,14 @@ def apply_finetune_policy(encoder: NewsEncoderBase, finetune_last_k: int,
     frozen_blocks = {f"block{l}." for l in range(depth - finetune_last_k)}
     trainable, frozen = [], []
     for name, p in encoder.params.items():
-        freeze = False
-        if name in ("token_emb", "pos_emb"):
-            freeze = not train_embeddings
-        elif any(name.startswith(b) for b in frozen_blocks):
-            freeze = True
+        freeze = (name in ("token_emb", "pos_emb")
+                  or any(name.startswith(b) for b in frozen_blocks))
         p.requires_grad = not freeze
         (frozen if freeze else trainable).append(name)
     return trainable, frozen
 
 
 def param_count(spec: NewsEncoderSpec, vocab_size: int, max_len: int) -> int:
-    """Closed-form parameter tally; must match instantiated tensor sizes."""
-    d = spec.d_model
-    n = vocab_size * d  # token embeddings
-    attn = 4 * (d * d + d)
-    if spec.kind == CNN:
-        n += spec.conv_window * d * d + d
-    elif spec.kind == SELF_ATTN:
-        n += attn
-    elif spec.kind == MINI_PLM:
-        n += max_len * d  # position embeddings
-        block = attn + 4 * d + (d * 4 * d + 4 * d) + (4 * d * d + d)
-        n += spec.depth * block + 2 * d  # blocks + final layer norm
-    if spec.pooling == POOL_ATTENTION:
-        n += d * d + d + d
-    return n
+    """Number of scalars in the tensors of an encoder built from ``spec``."""
+    encoder = build_news_encoder(spec, vocab_size, max_len)
+    return sum(p.size for p in encoder.params.values())

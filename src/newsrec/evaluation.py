@@ -2,8 +2,7 @@
 projection of news embeddings, and silhouette-based discriminability.
 
 AUC uses the rank-sum formulation with ties counted 0.5; MRR and nDCG rank
-by descending score with stable index-order tie-breaking, matching
-candidate ranking elsewhere in the package.
+by descending score with stable index-order tie-breaking.
 """
 
 from __future__ import annotations

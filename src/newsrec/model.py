@@ -7,6 +7,7 @@ the tokenized news matrix consumed by training and evaluation.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -15,14 +16,13 @@ import numpy as np
 
 from .data import NewsArticle
 from .encoders import (MINI_PLM, NewsEncoderSpec, apply_finetune_policy,
-                       build_news_encoder, param_count)
-from .tensor import Tensor, load_checkpoint, save_checkpoint
+                       build_news_encoder)
+from .tensor import CheckpointError, Tensor, load_checkpoint, save_checkpoint
 from .text import Vocabulary, tokenize
-from .users import (FALLBACK_USER_INDEX, UserEncoderSpec, build_user_encoder,
-                    user_param_count)
+from .users import FALLBACK_USER_INDEX, UserEncoderSpec, build_user_encoder
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     news: NewsEncoderSpec = field(default_factory=NewsEncoderSpec)
     user: UserEncoderSpec = field(default_factory=UserEncoderSpec)
@@ -33,13 +33,8 @@ class ModelSpec:
         if self.user.d_model != self.news.d_model:
             raise ValueError("user encoder d_model must match news encoder d_model")
 
-    def to_dict(self) -> dict:
-        return dict(news=self.news.to_dict(), user=self.user.to_dict(),
-                    max_title_len=self.max_title_len,
-                    history_cap=self.history_cap)
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -64,20 +59,23 @@ class NewsTokenTable:
 
 
 class Recommender:
-    """News encoder + user encoder with a shared parameter namespace."""
+    """News encoder + user encoder with a shared parameter namespace.
+
+    ``self.spec`` is the given spec with the user table sized to
+    ``user_ids``; the caller's spec is left as it is.
+    """
 
     def __init__(self, spec: ModelSpec, vocab: Vocabulary,
                  user_ids: list[str] | None = None, seed: int = 0):
-        self.spec = spec
-        self.vocab = vocab
         user_ids = user_ids or []
         # row 0 of any user table is the unknown-user fallback
+        self.spec = dataclasses.replace(spec, user=dataclasses.replace(
+            spec.user, user_table_size=len(user_ids) + 1))
         self.user_index = {uid: i + 1 for i, uid in enumerate(user_ids)}
         self.user_ids = list(user_ids)
-        spec.user.user_table_size = len(user_ids) + 1
-        self.news_encoder = build_news_encoder(spec.news, vocab.size,
-                                               spec.max_title_len, seed=seed)
-        self.user_encoder = build_user_encoder(spec.user, seed=seed + 1)
+        self.news_encoder = build_news_encoder(self.spec.news, vocab.size,
+                                               self.spec.max_title_len, seed=seed)
+        self.user_encoder = build_user_encoder(self.spec.user, seed=seed + 1)
 
     def parameters(self) -> dict[str, Tensor]:
         p = {"news." + k: v for k, v in self.news_encoder.params.items()}
@@ -90,9 +88,6 @@ class Recommender:
     def user_idx(self, user_id: str) -> int:
         return self.user_index.get(user_id, FALLBACK_USER_INDEX)
 
-    def user_idx_array(self, user_ids) -> np.ndarray:
-        return np.asarray([self.user_idx(u) for u in user_ids], dtype=np.int64)
-
     def apply_finetune_policy(self, finetune_last_k: int | None = None):
         if self.spec.news.kind != MINI_PLM:
             raise ValueError("finetune policy requires a mini_plm news encoder")
@@ -101,28 +96,30 @@ class Recommender:
         return apply_finetune_policy(self.news_encoder, k)
 
     def total_param_count(self) -> int:
-        return (param_count(self.spec.news, self.vocab.size,
-                            self.spec.max_title_len)
-                + user_param_count(self.spec.user))
+        return sum(p.size for p in self.parameters().values())
 
     # -- persistence ------------------------------------------------------
 
-    def state(self) -> dict[str, Tensor]:
-        return self.parameters()
-
     def load_state(self, arrays: dict[str, np.ndarray], strict: bool = True):
+        """Copy ``arrays`` into the parameters of the same names.
+
+        Raises CheckpointError on a wrongly shaped tensor and, when
+        ``strict``, on a missing or unexpected one.
+        """
         params = self.parameters()
         missing = set(params) - set(arrays)
         if strict and missing:
-            raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
+            raise CheckpointError(
+                f"checkpoint missing parameters: {sorted(missing)[:5]}")
         for name, arr in arrays.items():
             if name not in params:
                 if strict:
-                    raise KeyError(f"unexpected parameter {name!r} in checkpoint")
+                    raise CheckpointError(
+                        f"unexpected parameter {name!r} in checkpoint")
                 continue
             if params[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r}: "
-                                 f"{params[name].data.shape} vs {arr.shape}")
+                raise CheckpointError(f"shape mismatch for {name!r}: "
+                                      f"{params[name].data.shape} vs {arr.shape}")
             params[name].data = arr.copy()
 
     def save(self, ckpt_path, user_ids_path=None):
@@ -131,11 +128,6 @@ class Recommender:
             with open(user_ids_path, "w", encoding="utf-8") as f:
                 for uid in self.user_ids:
                     f.write(uid + "\n")
-
-    @staticmethod
-    def load_user_ids(path) -> list[str]:
-        with open(path, encoding="utf-8") as f:
-            return [line.rstrip("\n") for line in f if line.rstrip("\n")]
 
     def load(self, ckpt_path):
         self.load_state(load_checkpoint(ckpt_path))

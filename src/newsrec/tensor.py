@@ -9,6 +9,8 @@ forward computations (used for evaluation).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "Adam",
     "ShapeError",
     "NumericalError",
+    "CheckpointError",
     "matmul",
     "softmax",
     "log_softmax",
@@ -48,6 +51,10 @@ class ShapeError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A non-finite value surfaced where finite values are required."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed or does not fit the model."""
 
 
 class Tensor:
@@ -636,19 +643,30 @@ def save_checkpoint(path, params: dict[str, Tensor]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises CheckpointError on a bad magic number and on a file that ends
+    inside a record.
+    """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if f.tell() + n > size:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return f.read(n)
+
         if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a NRT1 checkpoint")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            payload = f.read(count * 8)
+            raise CheckpointError(f"{path}: not a NRT1 checkpoint")
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<I", read(4))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: bad parameter name") from e
+            (rank,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+            payload = read(math.prod(shape) * 8)
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out

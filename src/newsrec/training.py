@@ -29,7 +29,7 @@ class TrainingSample:
     label: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 128
@@ -37,7 +37,6 @@ class TrainConfig:
     negatives_k: int = 4
     epochs: int = 5
     seed: int = 0
-    mlm_rate: float = 0.15
 
     def __post_init__(self):
         if self.batch_size % self.shards != 0:
@@ -80,13 +79,25 @@ def build_training_samples(impressions: list[Impression], k: int, seed: int,
     return samples, skipped
 
 
-def listwise_loss(scores: Tensor, label: int) -> Tensor:
-    """Cross-entropy over the candidate list: -log softmax(scores)[label]."""
+def _mean_nll(logits: Tensor, onehot: np.ndarray, count: int) -> Tensor:
+    """Mean negative log-likelihood of ``count`` one-hot targets."""
+    ls = T.log_softmax(logits, axis=-1)
+    return T.reduce_sum(ls * onehot) * (-1.0 / count)
+
+
+def listwise_loss(scores: Tensor, labels) -> Tensor:
+    """Mean cross-entropy over candidate lists: -log softmax(scores)[label].
+
+    ``scores`` is (..., n); ``labels`` is an int, or an int array with the
+    shape of ``scores`` minus its last axis.
+    """
     n = scores.shape[-1]
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} candidates")
-    ls = T.log_softmax(scores, axis=-1)
-    return -T.reshape(T.narrow(ls, -1, label, 1), ())
+    labels = np.broadcast_to(np.asarray(labels, dtype=np.int64),
+                             scores.shape[:-1])
+    if np.any((labels < 0) | (labels >= n)):
+        raise IndexError(f"label out of range for {n} candidates")
+    onehot = (labels[..., None] == np.arange(n)).astype(np.float64)
+    return _mean_nll(scores, onehot, labels.size)
 
 
 def aggregate_shards(shard_grads: list[dict[str, np.ndarray]]):
@@ -148,7 +159,6 @@ def batch_loss(model: Recommender, table: NewsTokenTable,
     hist_idx = np.zeros((B, t_max), dtype=np.int64)
     hist_mask = np.zeros((B, t_max))
     cand_idx = np.zeros((B, n_cand), dtype=np.int64)
-    onehot = np.zeros((B, n_cand))
     for i, s in enumerate(batch):
         if len(s.candidate_rows) != n_cand:
             raise ShapeError("ragged candidate lists in one batch")
@@ -156,15 +166,13 @@ def batch_loss(model: Recommender, table: NewsTokenTable,
         hist_idx[i, :len(h)] = [remap[int(r)] for r in h]
         hist_mask[i, :len(h)] = 1.0
         cand_idx[i] = [remap[int(r)] for r in s.candidate_rows]
-        onehot[i, s.label] = 1.0
 
     hist = T.embedding_lookup(H, hist_idx) * hist_mask[..., None]
     user_idx = np.asarray([s.user_idx for s in batch], dtype=np.int64)
     u = model.user_encoder.forward(hist, hist_mask, user_idx)
     cand = T.embedding_lookup(H, cand_idx)
     scores = T.reduce_sum(T.reshape(u, (B, 1, d)) * cand, axis=-1)
-    ls = T.log_softmax(scores, axis=-1)
-    return T.reduce_sum(ls * onehot) * (-1.0 / B)
+    return listwise_loss(scores, [s.label for s in batch])
 
 
 @dataclass
@@ -293,8 +301,7 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
             with ComputationTape() as tape:
                 states = encoder.forward(ids, mask)
                 logits = states @ T.transpose_last(params["token_emb"]) + out_bias
-                ls = T.log_softmax(logits, axis=-1)
-                loss = T.reduce_sum(ls * onehot) * (-1.0 / n_targets)
+                loss = _mean_nll(logits, onehot, n_targets)
                 tape.backward(loss, params=list(trainable.values()))
             losses.append(loss.item())
             opt.step({k: p.grad for k, p in trainable.items()})

@@ -1,11 +1,11 @@
 """User encoders: compress a sequence of clicked-news embeddings (and
-optionally a user id) into one user embedding, plus candidate scoring.
+optionally a user id) into one user embedding.
 
 Five interchangeable encoders: a GRU over the click sequence, additive
 attention, personalized attention with a user-id query, a GRU seeded from
 a long-term user embedding, and self-attention followed by additive
-attention.  Scoring is the inner product between user and candidate
-embeddings.
+attention.  A row with no real click still gets a finite embedding, the
+same whether it is encoded alone or inside a batch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ USER_ENCODER_KINDS = (GRU, ADDITIVE_ATTN, NPA_PERSONALIZED, LSTUR, NRMS_SELF_ATT
 FALLBACK_USER_INDEX = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserEncoderSpec:
     kind: str = NRMS_SELF_ATTN
     d_model: int = 64
@@ -41,19 +41,6 @@ class UserEncoderSpec:
             raise ValueError(f"unknown user encoder kind {self.kind!r}")
         if self.kind == NRMS_SELF_ATTN and self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
-
-    def to_dict(self) -> dict:
-        return dict(kind=self.kind, d_model=self.d_model, num_heads=self.num_heads,
-                    user_table_size=self.user_table_size)
-
-
-@dataclass
-class ClickHistory:
-    """Most-recent-last clicked news embeddings, right-padded."""
-
-    user_id: str
-    news_embeddings: Tensor  # (T, d)
-    mask: np.ndarray         # (T,)
 
 
 def _gru_params(rng, d: int, prefix: str) -> dict:
@@ -102,14 +89,6 @@ class UserEncoderBase:
         """(B, T, d) clicked-news embeddings -> (B, d) user embeddings."""
         raise NotImplementedError
 
-    def encode(self, history: ClickHistory,
-               user_idx: int = FALLBACK_USER_INDEX) -> Tensor:
-        Tlen, d = history.news_embeddings.shape
-        batched = T.reshape(history.news_embeddings, (1, Tlen, d))
-        out = self.forward(batched, history.mask[None, :],
-                           np.asarray([user_idx], dtype=np.int64))
-        return T.reshape(out, (d,))
-
 
 class GruUserEncoder(UserEncoderBase):
     def _build(self, rng):
@@ -129,8 +108,6 @@ class AdditiveAttnUserEncoder(UserEncoderBase):
         self.params["attn.q"] = _init(rng, d, 1)
 
     def forward(self, hist, mask, user_idx=None):
-        if not np.any(mask.sum(axis=-1) >= 1):
-            raise ValueError("additive attention needs at least one real click")
         return additive_attention(hist, mask, self.params["attn.w"],
                                   self.params["attn.b"], self.params["attn.q"])
 
@@ -185,8 +162,6 @@ class NrmsUserEncoder(UserEncoderBase):
         self.params["attn.q"] = _init(rng, d, 1)
 
     def forward(self, hist, mask, user_idx=None):
-        if not np.any(mask.sum(axis=-1) >= 1):
-            raise ValueError("self-attention user encoder needs >= 1 real click")
         ctx = multi_head_attention(hist, mask, self.params, "selfattn.",
                                    self.spec.num_heads)
         return additive_attention(ctx, mask, self.params["attn.w"],
@@ -200,35 +175,3 @@ _USER_CLASSES = {GRU: GruUserEncoder, ADDITIVE_ATTN: AdditiveAttnUserEncoder,
 
 def build_user_encoder(spec: UserEncoderSpec, seed: int = 0) -> UserEncoderBase:
     return _USER_CLASSES[spec.kind](spec, seed=seed)
-
-
-def user_param_count(spec: UserEncoderSpec) -> int:
-    d = spec.d_model
-    gru = 3 * (2 * d * d + d)
-    addattn = d * d + d + d
-    if spec.kind == GRU:
-        return gru
-    if spec.kind == ADDITIVE_ATTN:
-        return addattn
-    if spec.kind == NPA_PERSONALIZED:
-        return spec.user_table_size * d + d * d + d * d + d
-    if spec.kind == LSTUR:
-        return spec.user_table_size * d + gru
-    if spec.kind == NRMS_SELF_ATTN:
-        return 4 * (d * d + d) + addattn
-    raise ValueError(spec.kind)
-
-
-def click_score(u: Tensor, h_c: Tensor) -> Tensor:
-    """Inner product between a user embedding and a candidate embedding."""
-    if u.shape != h_c.shape:
-        raise T.ShapeError(f"dimension mismatch: {u.shape} vs {h_c.shape}")
-    return T.reduce_sum(u * h_c)
-
-
-def rank_candidates(u: Tensor, candidates: list[Tensor]) -> list[int]:
-    """Candidate indices by descending score; ties keep original order."""
-    if not candidates:
-        raise ValueError("rank_candidates needs at least one candidate")
-    scores = np.asarray([click_score(u, c).item() for c in candidates])
-    return list(np.argsort(-scores, kind="stable"))

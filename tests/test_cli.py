@@ -74,6 +74,21 @@ class TestConfigValidation:
         result = runner.invoke(main, ["train", "--config", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "train",
+                                         "evaluate", "compare",
+                                         "export-embeddings"])
+    def test_bad_synthetic_spec_is_config_error(self, runner, tmp_path,
+                                                command):
+        cfg = _write_config(tmp_path, {
+            "dataset.synthetic.num_users": 0,
+            "model.news_encoder.kind": "mini_plm",
+            "model.news_encoder.finetune_last_k": 2,
+            "compare": {"axis": "pooling", "num_seeds": 1}})
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "invalid synthetic spec" in result.output
+
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [
             {"market": "EN-US", "news": str(tmp_path / "no.tsv"),
@@ -177,6 +192,36 @@ class TestTrainEvaluate:
         aucs = [float(r.split(",")[0]) for r in rows]
         assert abs(np.mean(aucs) - report["means"]["auc"]) < 1e-12
         assert len(rows) == report["num_impressions"]
+
+    def test_truncated_checkpoint_is_data_error(self, runner, tmp_path):
+        cfg = _write_config(tmp_path)
+        run = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(run)])
+        assert result.exit_code == 0, result.output
+        ckpt = run / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        for command in ("evaluate", "export-embeddings"):
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(tmp_path / command),
+                                          "--checkpoint", str(ckpt)])
+            assert result.exit_code == 3
+            assert "truncated checkpoint" in result.output
+
+    def test_all_empty_histories_evaluate(self, runner, tmp_path):
+        # one impression per user: every history is empty, so every
+        # user-encoder batch holds only cold-start rows
+        cfg = _write_config(tmp_path, {
+            "dataset.synthetic.impressions_per_user": 1,
+            "dataset.split": {"policy": "random"},
+            "model.user_encoder": {"kind": "nrms", "num_heads": 4}})
+        ev = tmp_path / "eval"
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                      "--out", str(ev)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((ev / "report.json").read_text())
+        assert report["num_impressions"] == 5
+        assert 0.0 <= report["means"]["auc"] <= 1.0
 
     def test_oracle_scorer(self, runner, tmp_path):
         cfg = _write_config(tmp_path)

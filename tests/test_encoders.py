@@ -1,15 +1,17 @@
 """News encoders: CNN / self-attention / mini PLM, pooling, finetune policy,
-parameter accounting."""
+parameter counts."""
 
 import numpy as np
 import pytest
 
 from newsrec import tensor as T
 from newsrec.encoders import (CNN, MINI_PLM, POOL_MODES, SELF_ATTN,
-                              NewsEncoderSpec, TokenHiddenStates,
-                              apply_finetune_policy, build_news_encoder,
-                              param_count, pool)
-from newsrec.tensor import ComputationTape, ShapeError, Tensor
+                              NewsEncoderSpec, apply_finetune_policy,
+                              build_news_encoder, param_count, pool_batch)
+from newsrec.model import ModelSpec, Recommender
+from newsrec.tensor import ComputationTape, ShapeError, Tensor, load_checkpoint
+from newsrec.text import build_vocab
+from newsrec.users import UserEncoderSpec
 
 VOCAB = 30
 M = 8
@@ -137,10 +139,12 @@ class TestPaddingInvariance:
 
 
 class TestPooling:
-    def _states(self, rows):
+    """``pool_batch`` over one sequence: (1, M, d) states -> its (d,) row."""
+
+    def _pool(self, rows, mode, params, mask=None):
         rows = np.asarray(rows, dtype=np.float64)
-        return TokenHiddenStates(states=Tensor(rows),
-                                 mask=np.ones(len(rows)))
+        mask = np.ones((1, len(rows))) if mask is None else mask[None, :]
+        return pool_batch(Tensor(rows[None]), mask, mode, params).data[0]
 
     def _pool_params(self, d, seed=0):
         rng = np.random.default_rng(seed)
@@ -149,28 +153,28 @@ class TestPooling:
                 "pool.q": Tensor(rng.normal(size=(d, 1)))}
 
     def test_cls_takes_row_zero(self):
-        st = self._states([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(pool(st, "cls", {}).vector.data, [1.0, 2.0])
+        out = self._pool([[1.0, 2.0], [3.0, 4.0]], "cls", {})
+        assert np.array_equal(out, [1.0, 2.0])
 
     def test_average_single_real_token_exact(self):
         # row 0 is CLS (excluded); the one real token comes back exactly
-        st = self._states([[9.0, 9.0], [1.0, 2.0]])
-        assert np.array_equal(pool(st, "average", {}).vector.data, [1.0, 2.0])
+        out = self._pool([[9.0, 9.0], [1.0, 2.0]], "average", {})
+        assert np.array_equal(out, [1.0, 2.0])
 
     def test_average_excludes_cls(self):
-        st = self._states([[100.0, 100.0], [2.0, 4.0], [4.0, 6.0]])
-        assert np.array_equal(pool(st, "average", {}).vector.data, [3.0, 5.0])
+        out = self._pool([[100.0, 100.0], [2.0, 4.0], [4.0, 6.0]], "average", {})
+        assert np.array_equal(out, [3.0, 5.0])
 
     def test_attention_identical_rows_average(self):
-        st = self._states([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
-        out = pool(st, "attention", self._pool_params(4)).vector.data
+        out = self._pool([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]],
+                         "attention", self._pool_params(4))
         assert np.max(np.abs(out - [1.0, 2.0, 3.0, 4.0])) < 1e-12
 
     def test_attention_matches_standalone_oracle(self):
         rng = np.random.default_rng(8)
         rows = rng.normal(size=(5, 8))
         params = self._pool_params(8, seed=9)
-        out = pool(self._states(rows), "attention", params).vector.data
+        out = self._pool(rows, "attention", params)
         scores = (np.tanh(rows @ params["pool.w"].data + params["pool.b"].data)
                   @ params["pool.q"].data)[:, 0]
         weights = np.exp(scores - scores.max())
@@ -179,20 +183,19 @@ class TestPooling:
         assert np.max(np.abs(out - oracle)) < 1e-12
 
     def test_fully_masked_rejected(self):
-        st = TokenHiddenStates(states=Tensor(np.ones((3, 2))),
-                               mask=np.zeros(3))
         with pytest.raises(ValueError):
-            pool(st, "cls", {})
+            self._pool(np.ones((3, 2)), "cls", {}, mask=np.zeros(3))
 
 
 class TestFinetunePolicy:
     def _encoder(self, depth=4):
         return build_news_encoder(_spec(MINI_PLM, depth=depth), VOCAB, M, seed=13)
 
-    def test_k_equals_depth_with_embeddings_flag(self):
+    def test_k_equals_depth_freezes_only_embeddings(self):
         enc = self._encoder()
-        trainable, frozen = apply_finetune_policy(enc, 4, train_embeddings=True)
-        assert frozen == []
+        trainable, frozen = apply_finetune_policy(enc, 4)
+        assert frozen == ["token_emb", "pos_emb"]
+        assert len(trainable) == len(enc.params) - 2
 
     def test_k_zero_freezes_encoder_not_pooling(self):
         enc = self._encoder()
@@ -231,11 +234,17 @@ class TestFinetunePolicy:
 class TestParamCount:
     @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
     @pytest.mark.parametrize("pooling", POOL_MODES)
-    def test_matches_instantiated_sizes(self, kind, pooling):
+    def test_matches_instantiated_sizes(self, kind, pooling, tmp_path):
+        # the count is what a Recommender with this news encoder saves
         spec = _spec(kind, pooling=pooling, depth=3)
-        enc = build_news_encoder(spec, VOCAB, M, seed=0)
-        assert param_count(spec, VOCAB, M) == sum(
-            p.data.size for p in enc.params.values())
+        vocab = build_vocab([f"w{i}" for i in range(VOCAB - 5)])
+        rec = Recommender(ModelSpec(news=spec,
+                                    user=UserEncoderSpec(kind="gru", d_model=16),
+                                    max_title_len=M), vocab, seed=3)
+        rec.save(tmp_path / "m.ckpt")
+        saved = load_checkpoint(tmp_path / "m.ckpt")
+        assert param_count(spec, vocab.size, M) == sum(
+            a.size for name, a in saved.items() if name.startswith("news."))
 
     def test_strictly_increasing_in_depth(self):
         counts = [param_count(_spec(MINI_PLM, depth=k), VOCAB, M)

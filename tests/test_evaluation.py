@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsrec.data import SyntheticSpec, generate_synthetic
+from newsrec.encoders import NewsEncoderSpec
 from newsrec.evaluation import (UndefinedMetric, auc_impression,
-                                discriminability, mrr, ndcg_at_k, pca_project,
-                                score_impressions)
+                                discriminability, encode_all_news, evaluate,
+                                mrr, ndcg_at_k, pca_project, score_impressions)
+from newsrec.model import ModelSpec, NewsTokenTable, Recommender
+from newsrec.tensor import Tensor
+from newsrec.text import build_vocab
+from newsrec.users import UserEncoderSpec
 
 
 def _random_impressions(rng, n, max_cands=20):
@@ -221,3 +227,37 @@ class TestDiscriminability:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
             discriminability(np.ones((5, 2)), [0] * 5)
+
+
+class TestEvaluate:
+    def test_scores_and_metrics_match_batch_of_one_recompute(self):
+        spec = SyntheticSpec(num_users=20, num_news=50, impressions_per_user=4,
+                             candidates_per_impression=6, seed=3)
+        arts, imps = generate_synthetic(spec)["EN-US"]
+        vocab = build_vocab(a.title for a in arts)
+        model = Recommender(ModelSpec(
+            news=NewsEncoderSpec(kind="cnn", d_model=8, num_heads=2),
+            user=UserEncoderSpec(kind="nrms", d_model=8, num_heads=2),
+            max_title_len=12), vocab,
+            user_ids=sorted({i.user_id for i in imps}), seed=3)
+        table = NewsTokenTable(arts, vocab, 12)
+        report = evaluate(model, imps, table)
+        assert len(report.per_impression) == len(imps)
+
+        news = encode_all_news(model, table)
+        for imp, row in zip(imps, report.per_impression):
+            hist = [table.index[n] for n in imp.history]
+            t = max(1, len(hist))
+            h = np.zeros((1, t, news.shape[1]))
+            h[0, :len(hist)] = news[hist]
+            mask = np.zeros((1, t))
+            mask[0, :len(hist)] = 1.0
+            uidx = np.asarray([model.user_idx(imp.user_id)])
+            u = model.user_encoder.forward(Tensor(h), mask, uidx).data[0]
+            scores = [float(np.dot(news[table.index[n]], u))
+                      for n, _ in imp.candidates]
+            labels = [c for _, c in imp.candidates]
+            assert abs(row.auc - auc_impression(scores, labels)) < 1e-12
+            assert abs(row.mrr - mrr(scores, labels)) < 1e-12
+            assert abs(row.ndcg5 - ndcg_at_k(scores, labels, 5)) < 1e-12
+            assert abs(row.ndcg10 - ndcg_at_k(scores, labels, 10)) < 1e-12

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsrec import tensor as T
-from newsrec.tensor import (Adam, ComputationTape, NumericalError, ShapeError,
-                            Tensor, gradient_check, load_checkpoint,
-                            save_checkpoint)
+from newsrec.tensor import (Adam, CheckpointError, ComputationTape,
+                            NumericalError, ShapeError, Tensor, gradient_check,
+                            load_checkpoint, save_checkpoint)
 
 
 def _finite_arrays(shape):
@@ -281,8 +281,37 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"XXXX")
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=12),
+        st.lists(st.integers(0, 3), max_size=3).flatmap(
+            lambda shape: st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+            .map(lambda v, shape=shape: np.asarray(v, dtype=np.float64)
+                 .reshape(shape))),
+        max_size=4))
+    def test_random_dicts_round_trip_bitwise(self, tmp_path_factory, arrays):
+        path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
+        save_checkpoint(path, {k: Tensor(a) for k, a in arrays.items()})
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(arrays)
+        for name, a in arrays.items():
+            assert loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes()
+
+    def test_cut_inside_a_record_rejected(self, tmp_path):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 3))),
+                               "b": Tensor(np.zeros(2))})
+        blob = path.read_bytes()
+        for cut in (len(blob) - 5, len(blob) - 16, 6):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
 
 class TestMiscOps:

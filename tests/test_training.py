@@ -89,6 +89,17 @@ class TestListwiseLoss:
     def test_out_of_range_label(self):
         with pytest.raises(IndexError):
             listwise_loss(Tensor(np.zeros(3)), 3)
+        with pytest.raises(IndexError):
+            listwise_loss(Tensor(np.zeros((2, 3))), [0, -1])
+
+    def test_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=(3, 5))
+        labels = [4, 0, 2]
+        batched = listwise_loss(Tensor(scores), labels).item()
+        rows = [listwise_loss(Tensor(s), y).item()
+                for s, y in zip(scores, labels)]
+        assert abs(batched - np.mean(rows)) < 1e-12
 
 
 class TestAggregateShards:
