@@ -344,8 +344,7 @@ def cmd_pretrain(cfg, seed, manifest):
     """MLM-pretrain the mini PLM news encoder on the dataset's titles."""
     bundle = DatasetBundle(cfg, seed)
     encoder, losses = _pretrain(cfg, bundle, seed,
-                                manifest.out_dir / "pretrained.ckpt")
-    manifest.files.append("pretrained.ckpt")
+                                manifest.path("pretrained.ckpt"))
     n_params = sum(p.size for p in encoder.params.values())
     click.echo(f"encoder depth={encoder.spec.depth} d={encoder.spec.d_model} "
                f"param_count={n_params}")
@@ -443,8 +442,8 @@ def cmd_compare(cfg, seed, manifest):
             bundle = DatasetBundle(vcfg, run_seed)
             pretrained_path = None
             if axis == "pretraining" and variant == "pretrained":
-                pretrained_path = (manifest.out_dir / f"pretrain_seed{run_seed}"
-                                   / "pretrained.ckpt")
+                pretrained_path = manifest.path(
+                    f"pretrain_seed{run_seed}/pretrained.ckpt")
                 _pretrain(vcfg, bundle, run_seed, pretrained_path)
             model, table, _ = _train_once(vcfg, bundle, run_seed,
                                           from_pretrained=pretrained_path)

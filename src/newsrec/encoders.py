@@ -131,7 +131,16 @@ class NewsEncoderBase:
         raise NotImplementedError
 
     def embed(self, ids: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
-        """(B, M) -> (B, d) pooled news embeddings."""
+        """(B, M) -> (B, d) pooled news embeddings.
+
+        Trailing columns that are PAD in every row are dropped before the
+        forward pass: padding does not change an embedding, so the batch is
+        only as wide as its longest title.
+        """
+        real_cols = np.flatnonzero(np.any(mask, axis=0))
+        if len(real_cols):
+            width = real_cols[-1] + 1
+            ids, mask = ids[:, :width], mask[:, :width]
         return pool_batch(self.forward(ids, mask, rng=rng), mask,
                           self.spec.pooling, self.params)
 

@@ -19,22 +19,41 @@ class UndefinedMetric(ValueError):
     """The metric is undefined for this impression (e.g. no positives)."""
 
 
+def _ranking_metrics(scores, labels, ks=(5, 10)):
+    """Row-wise AUC, MRR and nDCG@k of (G, n) scores and 0/1 labels.
+
+    Every row must hold a positive; AUC is NaN for a row without a negative.
+    Returns (auc, mrr, [ndcg@k for k in ks]), each of shape (G,).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n = pos.shape[1]
+    n_pos = pos.sum(axis=1)
+    ranks = rankdata(scores, method="average", axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        auc = (((ranks * pos).sum(axis=1) - n_pos * (n_pos + 1) / 2.0)
+               / (n_pos * (n - n_pos)))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(pos, order, axis=1).astype(np.float64)
+    positions = np.arange(1, n + 1)
+    rr = (ranked / positions).sum(axis=1) / n_pos
+    discounts = 1.0 / np.log2(positions + 1)
+    ndcg = []
+    for k in ks:
+        dcg = (ranked[:, :k] * discounts[:k]).sum(axis=1)
+        ideal = np.arange(min(k, n)) < n_pos[:, None]
+        ndcg.append(dcg / (ideal * discounts[:k]).sum(axis=1))
+    return auc, rr, ndcg
+
+
 def auc_impression(scores, labels) -> float:
     """P(random positive outscores random negative), ties as 0.5."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_pos = int((labels == 1).sum())
+    if n_pos == 0 or n_pos == len(labels):
         raise UndefinedMetric("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _stable_order(scores) -> np.ndarray:
-    """Indices by descending score; ties keep original index order."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    auc, _, _ = _ranking_metrics([scores], [labels], ks=())
+    return float(auc[0])
 
 
 def mrr(scores, labels) -> float:
@@ -42,24 +61,19 @@ def mrr(scores, labels) -> float:
     labels = np.asarray(labels)
     if not np.any(labels == 1):
         raise UndefinedMetric("MRR needs at least one positive")
-    ranked = labels[_stable_order(scores)]
-    rr = 1.0 / (np.flatnonzero(ranked == 1) + 1)
-    return float(rr.mean())
+    _, rr, _ = _ranking_metrics([scores], [labels], ks=())
+    return float(rr[0])
 
 
 def ndcg_at_k(scores, labels, k: int) -> float:
     """Binary-relevance nDCG@k with stable tie-breaking."""
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.asarray(labels)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not np.any(labels == 1):
         raise UndefinedMetric("nDCG needs at least one positive")
-    discounts = 1.0 / np.log2(np.arange(2, len(labels) + 2))
-    ranked = labels[_stable_order(scores)]
-    dcg = float((ranked[:k] * discounts[:k]).sum())
-    ideal = np.sort(labels)[::-1]
-    idcg = float((ideal[:k] * discounts[:k]).sum())
-    return dcg / idcg
+    _, _, (ndcg,) = _ranking_metrics([scores], [labels], ks=(k,))
+    return float(ndcg[0])
 
 
 @dataclass
@@ -109,35 +123,52 @@ class EvalReport:
 
 
 def score_impressions(scores_labels) -> EvalReport:
-    """Aggregate (scores, labels) pairs into an EvalReport."""
+    """Aggregate (scores, labels) pairs into an EvalReport.
+
+    Impressions with the same number of candidates are scored together as
+    the rows of one array; ``per_impression`` keeps the input order.
+    """
     report = EvalReport()
+    kept = []    # (scores, labels, number of positives) of scorable impressions
+    groups = {}  # candidate count -> indices into kept
     for scores, labels in scores_labels:
         labels = np.asarray(labels)
         n_pos = int((labels == 1).sum())
-        n_neg = int(len(labels) - n_pos)
         if n_pos == 0:
             report.skipped["no_positive"] = report.skipped.get("no_positive", 0) + 1
             continue
-        if n_neg == 0:
+        if n_pos == len(labels):
             report.skipped["no_negative"] = report.skipped.get("no_negative", 0) + 1
             continue
-        report.per_impression.append(ImpressionMetrics(
-            auc=auc_impression(scores, labels),
-            mrr=mrr(scores, labels),
-            ndcg5=ndcg_at_k(scores, labels, 5),
-            ndcg10=ndcg_at_k(scores, labels, 10),
-            num_candidates=len(labels), num_positives=n_pos))
+        groups.setdefault(len(labels), []).append(len(kept))
+        kept.append((scores, labels, n_pos))
+    rows = [None] * len(kept)
+    for n, idx in groups.items():
+        auc, rr, (ndcg5, ndcg10) = _ranking_metrics(
+            [kept[i][0] for i in idx], [kept[i][1] for i in idx])
+        for i, a, r, n5, n10 in zip(idx, auc.tolist(), rr.tolist(),
+                                     ndcg5.tolist(), ndcg10.tolist()):
+            rows[i] = ImpressionMetrics(auc=a, mrr=r, ndcg5=n5, ndcg10=n10,
+                                        num_candidates=n,
+                                        num_positives=kept[i][2])
+    report.per_impression = rows
     return report.finalize()
 
 
 def encode_all_news(model, table, chunk: int = 256) -> np.ndarray:
-    """(N, d) news embedding matrix under the current parameters (no grad)."""
-    outs = []
-    for start in range(0, len(table), chunk):
-        emb = model.news_encoder.embed(table.ids[start:start + chunk],
-                                       table.mask[start:start + chunk])
-        outs.append(emb.data)
-    return np.concatenate(outs, axis=0)
+    """(N, d) news embedding matrix under the current parameters (no grad).
+
+    Titles are encoded shortest first, ``chunk`` at a time, so that each
+    chunk is only as wide as its longest title; row i of the result is
+    still the table's row i.
+    """
+    order = np.argsort(table.mask.sum(axis=1), kind="stable")
+    out = np.empty((len(table), model.spec.news.d_model))
+    for start in range(0, len(order), chunk):
+        rows = order[start:start + chunk]
+        out[rows] = model.news_encoder.embed(table.ids[rows],
+                                             table.mask[rows]).data
+    return out
 
 
 def evaluate(model, impressions, table, score_override=None) -> EvalReport:
@@ -154,7 +185,7 @@ def evaluate(model, impressions, table, score_override=None) -> EvalReport:
     def flush():
         if not batch_meta:
             return
-        t_max = max(1, max(len(h) for h, _, _ in batch_meta))
+        t_max = max(len(h) for h, _, _ in batch_meta)
         B = len(batch_meta)
         d = news_emb.shape[1]
         hist = np.zeros((B, t_max, d))

@@ -5,7 +5,8 @@ Five interchangeable encoders: a GRU over the click sequence, additive
 attention, personalized attention with a user-id query, a GRU seeded from
 a long-term user embedding, and self-attention followed by additive
 attention.  A row with no real click still gets a finite embedding, the
-same whether it is encoded alone or inside a batch.
+same whether it is encoded alone or inside a batch, and a history axis of
+length zero encodes as one all-masked slot.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ def _gru_scan(hist: Tensor, mask: np.ndarray, h0: Tensor, params: dict,
     return h
 
 
+def _at_least_one_slot(hist: Tensor, mask: np.ndarray):
+    """Give a (B, 0, d) history one all-masked slot, so that attention has
+    a key to normalise over; any other history is returned unchanged."""
+    if hist.shape[1] > 0:
+        return hist, mask
+    B, _, d = hist.shape
+    return Tensor(np.zeros((B, 1, d))), np.zeros((B, 1))
+
+
 class UserEncoderBase:
     def __init__(self, spec: UserEncoderSpec, seed: int = 0):
         self.spec = spec
@@ -108,6 +118,7 @@ class AdditiveAttnUserEncoder(UserEncoderBase):
         self.params["attn.q"] = _init(rng, d, 1)
 
     def forward(self, hist, mask, user_idx=None):
+        hist, mask = _at_least_one_slot(hist, mask)
         return additive_attention(hist, mask, self.params["attn.w"],
                                   self.params["attn.b"], self.params["attn.q"])
 
@@ -123,6 +134,7 @@ class NpaUserEncoder(UserEncoderBase):
         self.params["attn.b"] = _zeros(d)
 
     def forward(self, hist, mask, user_idx=None):
+        hist, mask = _at_least_one_slot(hist, mask)
         B, Tlen, d = hist.shape
         if user_idx is None:
             user_idx = np.full(B, FALLBACK_USER_INDEX, dtype=np.int64)
@@ -162,6 +174,7 @@ class NrmsUserEncoder(UserEncoderBase):
         self.params["attn.q"] = _init(rng, d, 1)
 
     def forward(self, hist, mask, user_idx=None):
+        hist, mask = _at_least_one_slot(hist, mask)
         ctx = multi_head_attention(hist, mask, self.params, "selfattn.",
                                    self.spec.num_heads)
         return additive_attention(ctx, mask, self.params["attn.w"],

@@ -253,6 +253,25 @@ class TestCompare:
             == ["cls", "average", "attention"]
         assert (out / "comparison.txt").exists()
 
+    def test_pretraining_manifest_lists_every_file(self, runner, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            {"dataset.synthetic.num_users": 12,
+             "dataset.synthetic.num_news": 40,
+             "model.news_encoder.kind": "mini_plm",
+             "model.news_encoder.depth": 1,
+             "model.news_encoder.finetune_last_k": 1,
+             "train.mlm_epochs": 1,
+             "compare": {"axis": "pretraining", "num_seeds": 2, "epochs": 1}})
+        out = tmp_path / "cmp"
+        result = runner.invoke(main, ["compare", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                         if p.is_file() and p.name != "manifest.json")
+        assert "pretrain_seed12/pretrained.ckpt" in written
+        assert _manifest(out)["files"] == written
+
     def test_unknown_axis(self, runner, tmp_path):
         cfg = _write_config(tmp_path,
                             {"compare": {"axis": "optimizer", "num_seeds": 1}})

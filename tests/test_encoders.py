@@ -136,6 +136,29 @@ class TestPaddingInvariance:
         pad_mask = np.concatenate([mask, np.zeros((2, 10))], axis=1)
         long = enc.embed(pad_ids, pad_mask).data
         assert np.max(np.abs(short - long)) < 1e-10
+        # embed trims all-PAD columns; the forward pass must mask them too
+        states = enc.forward(pad_ids, pad_mask)
+        assert states.shape[1] == M + 10
+        full = pool_batch(states, pad_mask, pooling, enc.params).data
+        assert np.max(np.abs(short - full)) < 1e-10
+
+    @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
+    @pytest.mark.parametrize("pooling", POOL_MODES)
+    def test_all_pad_columns_trimmed_bitwise(self, kind, pooling):
+        enc = build_news_encoder(_spec(kind, pooling=pooling), VOCAB, M, seed=12)
+        rng = np.random.default_rng(6)
+        ids, mask = _random_batch(rng, b=3, m=M)
+        ids[0, 4:], mask[0, 4:] = 0, 0.0  # rows of 4, 6 and 3 real tokens
+        ids[1, 6:], mask[1, 6:] = 0, 0.0
+        ids[2, 3:], mask[2, 3:] = 0, 0.0
+        padded = enc.embed(ids, mask).data
+        trimmed = enc.embed(ids[:, :6], mask[:, :6]).data
+        assert np.array_equal(padded, trimmed)
+
+    def test_fully_masked_batch_rejected(self):
+        enc = build_news_encoder(_spec(CNN), VOCAB, M, seed=0)
+        with pytest.raises(ValueError, match="fully masked"):
+            enc.embed(np.zeros((2, M), dtype=np.int64), np.zeros((2, M)))
 
 
 class TestPooling:

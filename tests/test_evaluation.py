@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsrec.data import SyntheticSpec, generate_synthetic
-from newsrec.encoders import NewsEncoderSpec
+from newsrec.encoders import (ENCODER_KINDS, POOL_MODES, NewsEncoderSpec,
+                              pool_batch)
 from newsrec.evaluation import (UndefinedMetric, auc_impression,
                                 discriminability, encode_all_news, evaluate,
                                 mrr, ndcg_at_k, pca_project, score_impressions)
@@ -153,6 +154,31 @@ class TestReport:
             mean = np.mean([getattr(m, key) for m in report.per_impression])
             assert abs(report.means[key] - mean) < 1e-12
 
+    def test_mixed_candidate_counts_keep_order_and_match_single_rows(self):
+        # impressions of 2..20 candidates interleaved with unscorable ones
+        rng = np.random.default_rng(12)
+        pairs = []
+        for scores, labels in _random_impressions(rng, 150):
+            pairs.append((scores, labels))
+            if rng.random() < 0.1:
+                pairs.append((scores, np.zeros_like(labels)))
+            if rng.random() < 0.1:
+                pairs.append((scores, np.ones_like(labels)))
+        kept = [(s, l) for s, l in pairs if 0 < l.sum() < len(l)]
+        report = score_impressions(pairs)
+        assert report.skipped == {
+            "no_positive": sum(l.sum() == 0 for _, l in pairs),
+            "no_negative": sum(l.sum() == len(l) for _, l in pairs)}
+        assert len({len(l) for _, l in kept}) > 10
+        assert len(report.per_impression) == len(kept)
+        for (scores, labels), row in zip(kept, report.per_impression):
+            assert row.num_candidates == len(labels)
+            assert row.num_positives == labels.sum()
+            assert abs(row.auc - auc_impression(scores, labels)) < 1e-12
+            assert abs(row.mrr - mrr(scores, labels)) < 1e-12
+            assert abs(row.ndcg5 - ndcg_at_k(scores, labels, 5)) < 1e-12
+            assert abs(row.ndcg10 - ndcg_at_k(scores, labels, 10)) < 1e-12
+
     def test_json_shape(self):
         rng = np.random.default_rng(7)
         report = score_impressions(_random_impressions(rng, 30))
@@ -229,18 +255,38 @@ class TestDiscriminability:
             discriminability(np.ones((5, 2)), [0] * 5)
 
 
+def _tiny_model(kind="cnn", pooling="attention"):
+    spec = SyntheticSpec(num_users=20, num_news=50, impressions_per_user=4,
+                         candidates_per_impression=6, seed=3)
+    arts, imps = generate_synthetic(spec)["EN-US"]
+    vocab = build_vocab(a.title for a in arts)
+    model = Recommender(ModelSpec(
+        news=NewsEncoderSpec(kind=kind, d_model=8, num_heads=2, pooling=pooling),
+        user=UserEncoderSpec(kind="nrms", d_model=8, num_heads=2),
+        max_title_len=12), vocab,
+        user_ids=sorted({i.user_id for i in imps}), seed=3)
+    return model, NewsTokenTable(arts, vocab, 12), imps
+
+
+class TestEncodeAllNews:
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    @pytest.mark.parametrize("pooling", POOL_MODES)
+    def test_matches_full_width_rows_in_table_order(self, kind, pooling):
+        model, table, _ = _tiny_model(kind, pooling)
+        lengths = table.mask.sum(axis=1)
+        assert len(set(lengths)) > 2 and np.any(np.diff(lengths) < 0)
+        enc = model.news_encoder
+        out = encode_all_news(model, table, chunk=7)
+        assert out.shape == (len(table), enc.spec.d_model)
+        for i in range(len(table)):
+            ids, mask = table.ids[i:i + 1], table.mask[i:i + 1]
+            ref = pool_batch(enc.forward(ids, mask), mask, pooling, enc.params)
+            assert np.max(np.abs(out[i] - ref.data[0])) < 1e-12
+
+
 class TestEvaluate:
     def test_scores_and_metrics_match_batch_of_one_recompute(self):
-        spec = SyntheticSpec(num_users=20, num_news=50, impressions_per_user=4,
-                             candidates_per_impression=6, seed=3)
-        arts, imps = generate_synthetic(spec)["EN-US"]
-        vocab = build_vocab(a.title for a in arts)
-        model = Recommender(ModelSpec(
-            news=NewsEncoderSpec(kind="cnn", d_model=8, num_heads=2),
-            user=UserEncoderSpec(kind="nrms", d_model=8, num_heads=2),
-            max_title_len=12), vocab,
-            user_ids=sorted({i.user_id for i in imps}), seed=3)
-        table = NewsTokenTable(arts, vocab, 12)
+        model, table, imps = _tiny_model()
         report = evaluate(model, imps, table)
         assert len(report.per_impression) == len(imps)
 

@@ -208,3 +208,12 @@ class TestAllEncoders:
         alone = enc.forward(Tensor(hist[1:2]), mask[1:2], uidx[1:2]).data[0]
         assert np.all(np.isfinite(alone))
         assert np.array_equal(mixed, alone)
+
+    @pytest.mark.parametrize("kind", USER_ENCODER_KINDS)
+    def test_zero_length_history_is_one_masked_slot(self, kind):
+        enc = _enc(kind, seed=23)
+        uidx = np.asarray([1, 2])
+        empty = enc.forward(Tensor(np.zeros((2, 0, D))), np.zeros((2, 0)), uidx)
+        one_slot = enc.forward(Tensor(np.zeros((2, 1, D))), np.zeros((2, 1)), uidx)
+        assert empty.shape == (2, D)
+        assert np.array_equal(empty.data, one_slot.data)
