@@ -24,6 +24,7 @@ from .data import (DataError, SyntheticSpec, dataset_summary, generate_synthetic
                    parse_behaviors_tsv, parse_news_tsv, split_dataset,
                    validate_dataset, write_behaviors_tsv, write_news_tsv)
 from .encoders import MINI_PLM, NewsEncoderSpec, build_news_encoder
+from .fileio import atomic_open
 from .model import ModelSpec, NewsTokenTable, Recommender
 from .tensor import (CheckpointError, NumericalError, load_checkpoint,
                      save_checkpoint)
@@ -199,21 +200,27 @@ class DatasetBundle:
 
 class Manifest:
     """The files a command writes under ``out_dir``, listed with the config
-    hash in ``manifest.json``."""
+    hash and the sha256 of each file in ``manifest.json``."""
 
     def __init__(self, out_dir: Path, cfg: dict):
         self.out_dir = out_dir
         self.cfg_hash = config_hash(cfg)
-        self.files: list[str] = []
+        self.files: set[str] = set()
 
     def path(self, name: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.files.append(name)
+        self.files.add(name)
         return self.out_dir / name
 
     def write(self):
-        payload = {"config_sha256": self.cfg_hash, "files": sorted(self.files)}
-        with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as f:
+        """Write ``manifest.json``: the config hash, the listed files and
+        the sha256 of each file's bytes as they are now."""
+        files = sorted(self.files)
+        digests = {name: hashlib.sha256((self.out_dir / name).read_bytes())
+                   .hexdigest() for name in files}
+        payload = {"config_sha256": self.cfg_hash, "files": files,
+                   "sha256": digests}
+        with atomic_open(self.out_dir / "manifest.json") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
 
 
@@ -349,7 +356,7 @@ def cmd_pretrain(cfg, seed, manifest):
     click.echo(f"encoder depth={encoder.spec.depth} d={encoder.spec.d_model} "
                f"param_count={n_params}")
     bundle.vocab.save(manifest.path("vocab.txt"))
-    with open(manifest.path("pretrain_loss.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("pretrain_loss.csv")) as f:
         f.write("epoch,mlm_loss\n")
         for i, loss in enumerate(losses, 1):
             f.write(f"{i},{loss:.6f}\n")
@@ -386,9 +393,9 @@ def cmd_evaluate(cfg, seed, manifest, checkpoint, oracle):
     override = (lambda labels: labels.astype(float)) if oracle else None
     report = evaluation.evaluate(model, bundle.splits[split], table,
                                  score_override=override)
-    with open(manifest.path("report.json"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("report.json")) as f:
         f.write(report.to_json())
-    with open(manifest.path("per_impression.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("per_impression.csv")) as f:
         f.write("auc,mrr,ndcg5,ndcg10,num_candidates,num_positives\n")
         for m in report.per_impression:
             f.write(f"{m.auc:.12f},{m.mrr:.12f},{m.ndcg5:.12f},"
@@ -461,11 +468,11 @@ def cmd_compare(cfg, seed, manifest):
         click.echo(f"{variant}: auc={row['auc_mean']:.4f}"
                    f"±{row['auc_std']:.4f} params={pcount}")
     cols = list(rows[0])
-    with open(manifest.path("comparison.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("comparison.csv")) as f:
         f.write(",".join(cols) + "\n")
         for row in rows:
             f.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-    with open(manifest.path("comparison.txt"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("comparison.txt")) as f:
         f.write(f"axis: {axis} ({num_seeds} seeds)\n")
         for row in rows:
             f.write(f"{row['variant']:>12s}  auc {row['auc_mean']:.4f}"
@@ -488,12 +495,11 @@ def cmd_export_embeddings(cfg, seed, manifest, checkpoint):
     proj, ratios = evaluation.pca_project(emb, out_dims=2)
     labels = bundle.topic_labels(table)
     silhouette = evaluation.discriminability(emb, labels)
-    with open(manifest.path("embeddings_2d.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(manifest.path("embeddings_2d.csv")) as f:
         f.write("news_id,x,y,topic_id\n")
         for nid, (x, y), lab in zip(table.news_ids, proj, labels):
             f.write(f"{nid},{x:.6f},{y:.6f},{lab}\n")
-    with open(manifest.path("embedding_summary.json"), "w",
-              encoding="utf-8") as f:
+    with atomic_open(manifest.path("embedding_summary.json")) as f:
         json.dump({"silhouette": silhouette,
                    "explained_variance_ratio": list(map(float, ratios))},
                   f, indent=2, sort_keys=True)

@@ -15,6 +15,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .fileio import atomic_open
+
 BASE_TIME = datetime(2020, 12, 1)
 MIND_TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
 
@@ -142,13 +144,13 @@ def parse_behaviors_tsv(path):
 
 
 def write_news_tsv(path, articles: list[NewsArticle]):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for a in articles:
             f.write(f"{a.news_id}\t{a.category}\t{a.subcategory}\t{a.title}\n")
 
 
 def write_behaviors_tsv(path, impressions: list[Impression]):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for imp in impressions:
             hist = " ".join(imp.history)
             cands = " ".join(f"{nid}-{c}" for nid, c in imp.candidates)

@@ -17,6 +17,7 @@ import numpy as np
 from .data import NewsArticle
 from .encoders import (MINI_PLM, NewsEncoderSpec, apply_finetune_policy,
                        build_news_encoder)
+from .fileio import atomic_open
 from .tensor import CheckpointError, Tensor, load_checkpoint, save_checkpoint
 from .text import Vocabulary, tokenize
 from .users import FALLBACK_USER_INDEX, UserEncoderSpec, build_user_encoder
@@ -125,7 +126,7 @@ class Recommender:
     def save(self, ckpt_path, user_ids_path=None):
         save_checkpoint(ckpt_path, self.parameters())
         if user_ids_path is not None:
-            with open(user_ids_path, "w", encoding="utf-8") as f:
+            with atomic_open(user_ids_path) as f:
                 for uid in self.user_ids:
                     f.write(uid + "\n")
 

@@ -16,6 +16,8 @@ import struct
 import numpy as np
 from scipy.special import erf
 
+from .fileio import atomic_open
+
 __all__ = [
     "Tensor",
     "ComputationTape",
@@ -155,6 +157,9 @@ class ComputationTape:
     def backward(self, loss: Tensor, params=None):
         """Populate ``grad`` on every requires_grad tensor reachable from loss.
 
+        Only entries downstream of a requires_grad tensor are
+        back-propagated; the rest stay on the tape but cost nothing here.
+
         ``params`` may list extra tensors that must end up with a gradient
         even if disconnected (they receive exact zeros).  Calling backward
         twice on the same tape is an error.
@@ -167,17 +172,27 @@ class ComputationTape:
         if not np.isfinite(loss.data):
             raise NumericalError("loss is non-finite")
 
+        # outputs of live entries: some input requires grad or is itself
+        # such an output; a dead entry's input gradients reach no parameter
+        live: set[int] = set()
+        for entry in self.entries:
+            if any(isinstance(inp, Tensor)
+                   and (inp.requires_grad or id(inp) in live)
+                   for inp in entry.inputs):
+                live.add(id(entry.output))
+
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for entry in reversed(self.entries):
             g_out = grads.pop(id(entry.output), None)
             if g_out is None:
                 continue
-            in_grads = entry.backward_fn(g_out)
-            for inp, g in zip(entry.inputs, in_grads):
-                if g is None or not isinstance(inp, Tensor):
-                    continue
-                acc = grads.get(id(inp))
-                grads[id(inp)] = g if acc is None else acc + g
+            if id(entry.output) in live:
+                in_grads = entry.backward_fn(g_out)
+                for inp, g in zip(entry.inputs, in_grads):
+                    if g is None or not isinstance(inp, Tensor):
+                        continue
+                    acc = grads.get(id(inp))
+                    grads[id(inp)] = g if acc is None else acc + g
             if entry.output.requires_grad:
                 out_g = entry.output.grad
                 # intermediate outputs rarely require grad; keep last seen
@@ -232,7 +247,8 @@ def add(a, b) -> Tensor:
     out = Tensor._make(ad + bd)
 
     def bwd(g):
-        return (_unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape))
+        return (_unbroadcast(g, ad.shape) if isinstance(a, Tensor) else None,
+                _unbroadcast(g, bd.shape) if isinstance(b, Tensor) else None)
 
     return _record((a, b), out, bwd)
 
@@ -242,7 +258,8 @@ def sub(a, b) -> Tensor:
     out = Tensor._make(ad - bd)
 
     def bwd(g):
-        return (_unbroadcast(g, ad.shape), _unbroadcast(-g, bd.shape))
+        return (_unbroadcast(g, ad.shape) if isinstance(a, Tensor) else None,
+                _unbroadcast(-g, bd.shape) if isinstance(b, Tensor) else None)
 
     return _record((a, b), out, bwd)
 
@@ -252,7 +269,9 @@ def mul(a, b) -> Tensor:
     out = Tensor._make(ad * bd)
 
     def bwd(g):
-        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
+        # an operand that is not a Tensor (array, scalar) is a constant
+        return (_unbroadcast(g * bd, ad.shape) if isinstance(a, Tensor) else None,
+                _unbroadcast(g * ad, bd.shape) if isinstance(b, Tensor) else None)
 
     return _record((a, b), out, bwd)
 
@@ -263,6 +282,17 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul operands must have rank >= 2")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {ad.shape} @ {bd.shape}")
+    if bd.ndim == 2 and ad.ndim > 2:
+        # a weight product: one GEMM over every leading row, not one per slice
+        a2 = ad.reshape(-1, ad.shape[-1])
+        out = Tensor._make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
+
+        def bwd(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ bd.T).reshape(ad.shape), a2.T @ g2)
+
+        return _record((a, b), out, bwd)
+
     out = Tensor._make(ad @ bd)
 
     def bwd(g):
@@ -290,12 +320,23 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x) -> Tensor:
     """Exact erf-based GELU."""
     xd = _data(x)
-    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    # in place on one temporary per pass: the same roundings as
+    # 0.5 * (1 + erf(x / sqrt 2)) and g * (phi + x * pdf), fewer allocations
+    phi = xd * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     out = Tensor._make(xd * phi)
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
-        return (g * (phi + xd * pdf),)
+        gx = xd * xd
+        gx *= -0.5
+        np.exp(gx, out=gx)
+        gx *= _INV_SQRT2PI
+        gx *= xd
+        gx += phi
+        gx *= g
+        return (gx,)
 
     return _record((x,), out, bwd)
 
@@ -430,14 +471,17 @@ def softmax(x, axis: int = -1) -> Tensor:
     xd = _data(x)
     if xd.shape == () or xd.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    z = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = xd - xd.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor._make(y)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gx = g * y
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return _record((x,), out, bwd)
 
@@ -446,14 +490,16 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     xd = _data(x)
     if xd.shape == () or xd.shape[axis] == 0:
         raise ShapeError("log_softmax over an empty axis")
-    z = xd - xd.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    y = z - lse
+    y = xd - xd.max(axis=axis, keepdims=True)
     sm = np.exp(y)
+    y -= np.log(sm.sum(axis=axis, keepdims=True))
+    np.exp(y, out=sm)
     out = Tensor._make(y)
 
     def bwd(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        gx = sm * g.sum(axis=axis, keepdims=True)
+        np.subtract(g, gx, out=gx)
+        return (gx,)
 
     return _record((x,), out, bwd)
 
@@ -464,20 +510,27 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = xd.shape[-1]
     if d < 2:
         raise ShapeError("layer_norm needs at least 2 features")
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._make(xhat * gd + bd)
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += bd
+    out = Tensor._make(y)
 
     def bwd(g):
         sum_axes = tuple(range(g.ndim - 1))
-        g_gain = (g * xhat).sum(axis=sum_axes)
+        t = g * xhat
+        g_gain = t.sum(axis=sum_axes)
         g_bias = g.sum(axis=sum_axes)
-        gy = g * gd
-        gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        # gx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)), gy = g * gain
+        gx = g * gd
+        np.multiply(gx, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=t)
+        gx -= t
+        gx *= inv
         return (gx, g_gain, g_bias)
 
     return _record((x, gain, bias), out, bwd)
@@ -629,7 +682,7 @@ _MAGIC = b"NRT1"
 
 
 def save_checkpoint(path, params: dict[str, Tensor]):
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         for name, p in params.items():
             nb = name.encode("utf-8")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -44,7 +46,7 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             f.write(_VOCAB_HEADER + "\n")
             for tok in self.id_to_token[len(RESERVED):]:
                 f.write(tok + "\n")
@@ -123,7 +125,9 @@ def mask_for_mlm(seq: TokenSequence, vocab_size: int, mask_rate: float = 0.15,
     rng = np.random.default_rng(rng_seed)
     candidates = [i for i, (t, m) in enumerate(zip(seq.ids, seq.mask))
                   if m == 1 and t != CLS_ID]
-    selected = [i for i in candidates if rng.random() < mask_rate]
+    # rng.random(n) yields the same numbers as n scalar rng.random() calls
+    selected = [i for i, u in zip(candidates, rng.random(len(candidates)))
+                if u < mask_rate]
     if not selected and candidates:
         selected = [candidates[int(rng.integers(len(candidates)))]]
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import evaluation
 from . import tensor as T
 from .data import Impression
+from .fileio import atomic_open
 from .model import NewsTokenTable, Recommender
 from .tensor import Adam, ComputationTape, NumericalError, ShapeError, Tensor
 from .text import TokenSequence, mask_for_mlm
@@ -79,17 +80,12 @@ def build_training_samples(impressions: list[Impression], k: int, seed: int,
     return samples, skipped
 
 
-def _mean_nll(logits: Tensor, onehot: np.ndarray, count: int) -> Tensor:
-    """Mean negative log-likelihood of ``count`` one-hot targets."""
-    ls = T.log_softmax(logits, axis=-1)
-    return T.reduce_sum(ls * onehot) * (-1.0 / count)
-
-
 def listwise_loss(scores: Tensor, labels) -> Tensor:
     """Mean cross-entropy over candidate lists: -log softmax(scores)[label].
 
     ``scores`` is (..., n); ``labels`` is an int, or an int array with the
-    shape of ``scores`` minus its last axis.
+    shape of ``scores`` minus its last axis.  MLM pretraining uses it with
+    the vocabulary as the candidate list.
     """
     n = scores.shape[-1]
     labels = np.broadcast_to(np.asarray(labels, dtype=np.int64),
@@ -97,7 +93,8 @@ def listwise_loss(scores: Tensor, labels) -> Tensor:
     if np.any((labels < 0) | (labels >= n)):
         raise IndexError(f"label out of range for {n} candidates")
     onehot = (labels[..., None] == np.arange(n)).astype(np.float64)
-    return _mean_nll(scores, onehot, labels.size)
+    ls = T.log_softmax(scores, axis=-1)
+    return T.reduce_sum(ls * onehot) * (-1.0 / labels.size)
 
 
 def aggregate_shards(shard_grads: list[dict[str, np.ndarray]]):
@@ -180,15 +177,21 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             f.write("epoch,train_loss,valid_loss,valid_auc\n")
             for row in self.history:
                 f.write(f"{row['epoch']},{row['train_loss']:.6f},"
                         f"{row['valid_loss']:.6f},{row['valid_auc']:.6f}\n")
 
 
-def _shard_step(model, table, batch, shards, trainable):
-    """Forward/backward per shard; returns (mean loss, aggregated grads)."""
+def _shard_step(model, table, batch, shards, trainable, dropout_key):
+    """Forward/backward per shard; returns (mean loss, aggregated grads).
+
+    ``dropout_key`` is a tuple of non-negative ints; shard ``s`` draws its
+    dropout masks from a generator seeded with ``(*dropout_key, s)``.  Each
+    shard encodes its own news rows, so with dropout on the masks, and
+    hence the gradients, depend on the shard count.
+    """
     if len(batch) % shards != 0:
         shards = 1  # ragged tail batches run unsharded
     size = len(batch) // shards
@@ -197,10 +200,11 @@ def _shard_step(model, table, batch, shards, trainable):
     names = list(trainable)
     for s in range(shards):
         part = batch[s * size:(s + 1) * size]
+        rng = np.random.default_rng((*dropout_key, s))
         for p in trainable.values():
             p.grad = None
         with ComputationTape() as tape:
-            loss = batch_loss(model, table, part)
+            loss = batch_loss(model, table, part, rng=rng)
             tape.backward(loss, params=list(trainable.values()))
         losses.append(loss.item())
         shard_grads.append({n: trainable[n].grad for n in names})
@@ -212,8 +216,10 @@ def train(model: Recommender, table: NewsTokenTable,
           valid_impressions: list[Impression] | None = None) -> TrainResult:
     """Mini-batch Adam over the listwise loss with seeded epoch shuffles.
 
-    Frozen parameters are never touched by the optimizer.  A non-finite
-    loss or gradient aborts with NumericalError.
+    Frozen parameters are never touched by the optimizer.  The news
+    encoder's dropout masks are drawn from ``(seed, epoch, batch, shard)``,
+    so a rerun is bitwise identical.  A non-finite loss or gradient aborts
+    with NumericalError.
     """
     if not samples:
         raise ValueError("empty training sample set")
@@ -236,8 +242,9 @@ def train(model: Recommender, table: NewsTokenTable,
         epoch_losses = []
         for start in range(0, len(rows), config.batch_size):
             batch = [rows[i] for i in order[start:start + config.batch_size]]
-            loss, grads = _shard_step(model, table, batch, config.shards,
-                                      trainable)
+            loss, grads = _shard_step(
+                model, table, batch, config.shards, trainable,
+                (config.seed, epoch, start // config.batch_size))
             if not np.isfinite(loss):
                 raise NumericalError(f"NaN loss at epoch {epoch}")
             epoch_losses.append(loss)
@@ -270,8 +277,10 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
     """Masked-token prediction with a tied-embedding output layer.
 
     Corrupted positions are predicted from the encoder's hidden states via
-    logits = states @ token_emb^T + bias.  Returns (output_bias tensor,
-    per-epoch mean losses); encoder parameters update in place.
+    logits = states @ token_emb^T + bias, computed for those positions
+    only.  Dropout masks of step ``t`` are drawn from ``(seed, t)``.
+    Returns (output_bias tensor, per-epoch mean losses); encoder parameters
+    update in place.
     """
     if not sequences:
         raise ValueError("empty pretraining corpus")
@@ -291,17 +300,18 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
         losses = []
         for start in range(0, len(sequences), batch_size):
             batch = [sequences[i] for i in order[start:start + batch_size]]
-            ids, mask, onehot, n_targets = _corrupt_batch(
+            ids, mask, rows, targets = _corrupt_batch(
                 batch, vocab_size, mask_rate, seed * 7 + step)
+            rng = np.random.default_rng((seed, step))
             step += 1
-            if n_targets == 0:
+            if len(rows) == 0:
                 continue
             for p in trainable.values():
                 p.grad = None
             with ComputationTape() as tape:
-                states = encoder.forward(ids, mask)
-                logits = states @ T.transpose_last(params["token_emb"]) + out_bias
-                loss = _mean_nll(logits, onehot, n_targets)
+                states = encoder.forward(ids, mask, rng=rng)
+                loss = _masked_lm_loss(states, rows, targets,
+                                       params["token_emb"], out_bias)
                 tape.backward(loss, params=list(trainable.values()))
             losses.append(loss.item())
             opt.step({k: p.grad for k, p in trainable.items()})
@@ -309,18 +319,34 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
     return out_bias, epoch_losses
 
 
+def _masked_lm_loss(states: Tensor, rows: np.ndarray, targets: np.ndarray,
+                    token_emb: Tensor, out_bias: Tensor) -> Tensor:
+    """Mean NLL of the original ids at the corrupted positions.
+
+    ``rows`` index the (B * M, d) view of ``states``; only those rows go
+    through the tied-embedding output layer, since every other position
+    adds nothing to the loss or its gradient.
+    """
+    B, M, d = states.shape
+    hidden = T.embedding_lookup(T.reshape(states, (B * M, d)), rows)
+    logits = hidden @ T.transpose_last(token_emb) + out_bias
+    return listwise_loss(logits, targets)
+
+
 def _corrupt_batch(batch, vocab_size, mask_rate, seed_base):
+    """Corrupted (B, M) ids and mask, the flat positions (row * M + column)
+    of the prediction targets and the targets' original ids."""
     m = len(batch[0].ids)
     ids = np.zeros((len(batch), m), dtype=np.int64)
     mask = np.zeros((len(batch), m))
-    onehot = np.zeros((len(batch), m, vocab_size))
-    n_targets = 0
+    rows, originals = [], []
     for i, seq in enumerate(batch):
         corrupted, targets = mask_for_mlm(seq, vocab_size, mask_rate,
                                           rng_seed=seed_base * 100003 + i)
         ids[i] = corrupted.ids
         mask[i] = corrupted.mask
         for pos, orig in targets:
-            onehot[i, pos, orig] = 1.0
-            n_targets += 1
-    return ids, mask, onehot, n_targets
+            rows.append(i * m + pos)
+            originals.append(orig)
+    return (ids, mask, np.asarray(rows, dtype=np.int64),
+            np.asarray(originals, dtype=np.int64))

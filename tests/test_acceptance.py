@@ -325,8 +325,8 @@ class TestAcceptance:
         samples, _ = build_training_samples(splits["train"], 4, seed=7)
         rows = _row_samples(model, table, samples)[:128]
         trainable = model.trainable_parameters()
-        _, g1 = _shard_step(model, table, rows, 1, trainable)
-        _, g4 = _shard_step(model, table, rows, 4, trainable)
+        _, g1 = _shard_step(model, table, rows, 1, trainable, (7,))
+        _, g4 = _shard_step(model, table, rows, 4, trainable, (7,))
         max_rel = 0.0
         for name in g1:
             denom = np.maximum(np.abs(g1[name]), 1e-12)

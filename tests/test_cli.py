@@ -1,5 +1,6 @@
 """End-to-end command-line tests over tiny synthetic configurations."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -192,6 +193,17 @@ class TestTrainEvaluate:
         aucs = [float(r.split(",")[0]) for r in rows]
         assert abs(np.mean(aucs) - report["means"]["auc"]) < 1e-12
         assert len(rows) == report["num_impressions"]
+
+    def test_manifest_hashes_every_listed_file(self, runner, tmp_path):
+        cfg = _write_config(tmp_path)
+        run = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(run)])
+        assert result.exit_code == 0, result.output
+        manifest = _manifest(run)
+        assert sorted(manifest["sha256"]) == manifest["files"]
+        for name, digest in manifest["sha256"].items():
+            assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest
 
     def test_truncated_checkpoint_is_data_error(self, runner, tmp_path):
         cfg = _write_config(tmp_path)

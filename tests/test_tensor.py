@@ -59,6 +59,34 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_weight_product_equals_per_slice_products(self, lead):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=lead + (4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        c = rng.normal(size=lead + (4, 3))
+        with ComputationTape() as tape:
+            out = a @ b
+            tape.backward(T.reduce_sum(out * c))
+        ga, gb = np.empty_like(a.data), np.zeros_like(b.data)
+        for idx in np.ndindex(*lead):
+            assert np.max(np.abs(out.data[idx] - a.data[idx] @ b.data)) < 1e-12
+            ga[idx] = c[idx] @ b.data.T
+            gb += a.data[idx].T @ c[idx]
+        assert out.shape == lead + (4, 3)
+        assert np.max(np.abs(a.grad - ga)) < 1e-12
+        assert np.max(np.abs(b.grad - gb)) < 1e-12
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_weight_product_gradient_check(self, lead):
+        rng = np.random.default_rng(6)
+        params = {"a": Tensor(rng.normal(size=lead + (4, 5)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=(5, 3)), requires_grad=True)}
+        c = rng.normal(size=lead + (4, 3))
+        report = gradient_check(
+            lambda: T.reduce_sum(T.tanh(params["a"] @ params["b"]) * c), params)
+        assert report["failed"] == []
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -169,6 +197,24 @@ class TestBackward:
             tape.backward(loss)
             with pytest.raises(RuntimeError):
                 tape.backward(loss)
+
+    def test_dead_branch_is_not_back_propagated(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        frozen = Tensor(np.full((2, 2), 0.5))
+
+        def refuse(g):
+            raise AssertionError("backward ran on an entry without a "
+                                 "trainable input")
+
+        with ComputationTape() as tape:
+            dead = Tensor(frozen.data * 2.0)
+            T._record((frozen,), dead, refuse)
+            loss = T.reduce_sum((T.tanh(dead) @ w) * 2.0)
+            recorded = len(tape.entries)
+            tape.backward(loss)
+        assert len(tape.entries) == recorded == 5
+        assert np.array_equal(w.grad, 2.0 * np.tanh(dead.data).T @ np.ones((2, 2)))
+        assert frozen.grad is None
 
     def test_unused_parameter_gets_zero_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -312,6 +358,80 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+
+def _forward_backward(op, *inputs, upstream):
+    """Output and input gradients of ``op`` under one upstream gradient,
+    straight from its tape entry."""
+    with ComputationTape() as tape:
+        out = op(*inputs)
+        grads = tape.entries[-1].backward_fn(upstream)
+    return out.data, grads
+
+
+class TestKernelsBitwise:
+    """The fused kernels round exactly like their textbook expressions and
+    leave their inputs and the upstream gradient untouched."""
+
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 2.0, (3, 4, 6))
+    g = rng.normal(size=(3, 4, 6))
+
+    def _run(self, op, *inputs):
+        kept = [np.copy(i.data) for i in inputs] + [self.g.copy()]
+        out, grads = _forward_backward(op, *inputs, upstream=self.g)
+        for before, now in zip(kept, [i.data for i in inputs] + [self.g]):
+            assert np.array_equal(before, now)
+        return out, grads
+
+    def test_gelu(self):
+        from scipy.special import erf
+        x, g = self.x, self.g
+        out, (gx,) = self._run(T.gelu, Tensor(x))
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+        assert np.array_equal(out, x * phi)
+        assert np.array_equal(gx, g * (phi + x * pdf))
+
+    def test_softmax(self):
+        x, g = self.x, self.g
+        out, (gx,) = self._run(T.softmax, Tensor(x))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(out, y)
+        assert np.array_equal(gx, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    def test_log_softmax(self):
+        x, g = self.x, self.g
+        out, (gx,) = self._run(T.log_softmax, Tensor(x))
+        z = x - x.max(axis=-1, keepdims=True)
+        y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        assert np.array_equal(out, y)
+        assert np.array_equal(gx, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+
+    def test_layer_norm(self):
+        x, g = self.x, self.g
+        gain, bias = self.rng.normal(size=6), self.rng.normal(size=6)
+        out, (gx, g_gain, g_bias) = self._run(T.layer_norm, Tensor(x),
+                                              Tensor(gain), Tensor(bias))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        gy = g * gain
+        assert np.array_equal(out, xhat * gain + bias)
+        assert np.array_equal(g_gain, (g * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(g_bias, g.sum(axis=(0, 1)))
+        assert np.array_equal(gx, inv * (gy - gy.mean(axis=-1, keepdims=True)
+                                         - xhat * (gy * xhat).mean(
+                                             axis=-1, keepdims=True)))
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    def test_constant_operand_gets_no_gradient(self, op):
+        x = Tensor(self.x, requires_grad=True)
+        for inputs in ((x, 0.5), (x, np.ones(6)), (np.ones(6), x)):
+            _, grads = _forward_backward(op, *inputs, upstream=self.g)
+            assert [gr is None for gr in grads] == [
+                not isinstance(i, Tensor) for i in inputs]
 
 
 class TestMiscOps:

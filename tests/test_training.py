@@ -4,12 +4,15 @@ and MLM pretraining."""
 import numpy as np
 import pytest
 
+from newsrec import tensor as T
+from newsrec import training
 from newsrec.data import Impression, SyntheticSpec, generate_synthetic
 from newsrec.encoders import NewsEncoderSpec, build_news_encoder
 from newsrec.model import ModelSpec, NewsTokenTable, Recommender
-from newsrec.tensor import ShapeError, Tensor
+from newsrec.tensor import ComputationTape, ShapeError, Tensor
 from newsrec.text import build_vocab, tokenize
-from newsrec.training import (TrainConfig, aggregate_shards,
+from newsrec.training import (TrainConfig, _corrupt_batch, _masked_lm_loss,
+                              _row_samples, _shard_step, aggregate_shards,
                               build_training_samples, listwise_loss,
                               mlm_pretrain, train)
 from newsrec.users import UserEncoderSpec
@@ -127,14 +130,14 @@ class TestAggregateShards:
             aggregate_shards([])
 
 
-def _toy_setup(seed=0, n_users=12, n_news=40, ipu=6):
+def _toy_setup(seed=0, n_users=12, n_news=40, ipu=6, news=None):
     spec = SyntheticSpec(num_users=n_users, num_news=n_news,
                          impressions_per_user=ipu, seed=seed)
     arts, imps = generate_synthetic(spec)["EN-US"]
     vocab = build_vocab(a.title for a in arts)
     mspec = ModelSpec(
-        news=NewsEncoderSpec(kind="self_attn", d_model=16, num_heads=4,
-                             pooling="attention"),
+        news=news or NewsEncoderSpec(kind="self_attn", d_model=16, num_heads=4,
+                                     pooling="attention"),
         user=UserEncoderSpec(kind="additive_attn", d_model=16),
         max_title_len=12)
     model = Recommender(mspec, vocab, user_ids=sorted({i.user_id for i in imps}),
@@ -183,6 +186,68 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=10, shards=3)
 
+    def test_frozen_layers_leave_trainable_gradients_bitwise(self):
+        news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                               depth=4, pooling="attention")
+        model, table, samples, _ = _toy_setup(seed=3, news=news)
+        rows = _row_samples(model, table, samples[:16])
+        model.apply_finetune_policy(2)
+        trainable = model.trainable_parameters()
+        assert len(trainable) < len(model.parameters())
+        _, frozen_run = _shard_step(model, table, rows, 1, trainable, (0,))
+        for p in model.parameters().values():
+            p.requires_grad = True
+        _, all_trainable_run = _shard_step(model, table, rows, 1, trainable,
+                                          (0,))
+        for name in trainable:
+            assert np.array_equal(frozen_run[name], all_trainable_run[name]), name
+
+
+class TestDropout:
+    def _losses(self, rate, shards=1):
+        news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                               depth=2, pooling="attention", dropout=rate)
+        model, table, samples, _ = _toy_setup(seed=4, news=news)
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=16, shards=shards,
+                          epochs=2, seed=4)
+        return [r["train_loss"]
+                for r in train(model, table, samples[:48], cfg).history]
+
+    def test_zero_rate_ignores_the_generator(self, monkeypatch):
+        with_rng = self._losses(0.0)
+        original = training.batch_loss
+        monkeypatch.setattr(training, "batch_loss",
+                            lambda *args, rng=None: original(*args))
+        assert self._losses(0.0) == with_rng
+
+    def test_dropout_applies_and_reruns_are_bitwise_equal(self):
+        a, b = self._losses(0.5), self._losses(0.5)
+        assert a == b
+        assert a != self._losses(0.0)
+
+    def test_shard_count_changes_the_masks(self):
+        # each shard draws masks for its own news rows: with dropout on,
+        # sharded and unsharded training part ways (at rate 0 they agree)
+        assert self._losses(0.5, shards=2) != self._losses(0.5)
+        np.testing.assert_allclose(self._losses(0.0, shards=2),
+                                   self._losses(0.0), rtol=1e-12)
+
+    def test_mlm_dropout_applies_and_reruns_are_bitwise_equal(self):
+        titles = [f"w{i} w{i+1} w{i+2} w{i+3}" for i in range(20)]
+        vocab = build_vocab(titles)
+        seqs = [tokenize(t, vocab, 8) for t in titles]
+
+        def losses(rate):
+            spec = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                                   depth=1, finetune_last_k=1, pooling="cls",
+                                   dropout=rate)
+            enc = build_news_encoder(spec, vocab.size, 8, seed=0)
+            return mlm_pretrain(seqs, enc, vocab.size, epochs=2,
+                                learning_rate=1e-2, batch_size=8, seed=0)[1]
+
+        assert losses(0.5) == losses(0.5)
+        assert losses(0.5) != losses(0.0)
+
 
 class TestMlmPretrain:
     def _encoder(self, vocab_size, seed=0):
@@ -226,3 +291,39 @@ class TestMlmPretrain:
         enc = self._encoder(10)
         with pytest.raises(ValueError):
             mlm_pretrain([], enc, 10)
+
+    def test_masked_positions_head_equals_dense_head(self):
+        titles = [f"w{i} w{i+1} w{i+2} w{i+3} w{i+4}" for i in range(8)]
+        vocab = build_vocab(titles)
+        V = vocab.size
+        enc = self._encoder(V, seed=3)
+        ids, mask, rows, targets = _corrupt_batch(
+            [tokenize(t, vocab, 8) for t in titles], V, 0.3, 5)
+        assert 0 < len(rows) < ids.size
+        out_bias = Tensor(np.random.default_rng(3).normal(0, 0.1, V),
+                          requires_grad=True)
+        params = {**enc.params, "mlm.out_bias": out_bias}
+        emb = enc.params["token_emb"]
+
+        def dense(states):
+            # every position through the output layer, one-hot targets
+            onehot = np.zeros(ids.shape + (V,))
+            onehot.reshape(-1, V)[rows, targets] = 1.0
+            logits = states @ T.transpose_last(emb) + out_bias
+            return (T.reduce_sum(T.log_softmax(logits) * onehot)
+                    * (-1.0 / len(rows)))
+
+        def run(head):
+            for p in params.values():
+                p.grad = None
+            with ComputationTape() as tape:
+                loss = head(enc.forward(ids, mask))
+                tape.backward(loss, params=list(params.values()))
+            return loss.item(), {k: p.grad for k, p in params.items()}
+
+        loss, grads = run(lambda s: _masked_lm_loss(s, rows, targets, emb,
+                                                    out_bias))
+        ref_loss, ref_grads = run(dense)
+        assert abs(loss - ref_loss) < 1e-12
+        for name, g in ref_grads.items():
+            assert np.max(np.abs(grads[name] - g)) < 1e-12, name
