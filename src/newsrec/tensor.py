@@ -14,7 +14,8 @@ import os
 import struct
 
 import numpy as np
-from scipy.special import erf
+from scipy import sparse
+from scipy.special import erf, expit
 
 from .fileio import atomic_open
 
@@ -34,6 +35,7 @@ __all__ = [
     "gelu",
     "tanh",
     "sigmoid",
+    "gru_scan",
     "reduce_sum",
     "reduce_mean",
     "reshape",
@@ -346,24 +348,99 @@ def tanh(x) -> Tensor:
     out = Tensor._make(y)
 
     def bwd(g):
-        return (g * (1.0 - y * y),)
+        # g * (1 - y*y) in one buffer, the same roundings
+        gx = y * y
+        np.subtract(1.0, gx, out=gx)
+        gx *= g
+        return (gx,)
 
     return _record((x,), out, bwd)
 
 
 def sigmoid(x) -> Tensor:
-    xd = _data(x)
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # scipy's expit is the one logistic kernel; the gates of gru_scan use it too
+    y = expit(_data(x))
     out = Tensor._make(y)
 
     def bwd(g):
-        return (g * y * (1.0 - y),)
+        gx = g * y
+        gx *= 1.0 - y
+        return (gx,)
 
     return _record((x,), out, bwd)
+
+
+def gru_scan(hist, mask, h0, w, u, b) -> Tensor:
+    """GRU over the (B, T, d) rows of ``hist``; one tape entry for all steps.
+
+    ``w``, ``u`` and ``b`` are the (z, r, n) gate triples of (d, d) input
+    weights, (d, d) recurrent weights and (d,) biases.  Per step t:
+
+        z = sigmoid(x W_z + h U_z + b_z),  r = sigmoid(x W_r + h U_r + b_r)
+        htilde = tanh(x W_n + (r*h) U_n + b_n),  hnew = (1-z)*h + z*htilde
+        h = hnew*m + h*(1-m)
+
+    with ``m = mask[:, t]``, so a masked step passes the state (and, in
+    backward, its gradient) through unchanged.  The input projections of
+    all steps are one GEMM ahead of the recurrence (Appleyard et al.,
+    arXiv 1604.01946); backward is backpropagation through time whose
+    weight gradients are GEMMs over the stacked steps.
+    """
+    xd = _data(hist)
+    B, Tlen, d = xd.shape
+    wd = np.concatenate([_data(p) for p in w], axis=1)  # (d, 3d)
+    u_zr = np.concatenate([_data(u[0]), _data(u[1])], axis=1)  # (d, 2d)
+    u_n = _data(u[2])
+    m = np.asarray(mask, dtype=np.float64)[:, :, None]
+    keep = 1.0 - m
+    x2 = xd.reshape(B * Tlen, d)
+    pre = (x2 @ wd).reshape(B, Tlen, 3 * d)
+    pre += np.concatenate([_data(p) for p in b])
+    # per step: the state entering it, the gates z|r and the candidate
+    hs = np.empty((B, Tlen, d))
+    zr = np.empty((B, Tlen, 2 * d))
+    cand = np.empty((B, Tlen, d))
+    h = _data(h0).copy()  # the output never aliases h0, even when T = 0
+    for t in range(Tlen):
+        hs[:, t] = h
+        g = pre[:, t, :2 * d] + h @ u_zr
+        zr[:, t] = expit(g, out=g)
+        z, r = g[:, :d], g[:, d:]
+        n = pre[:, t, 2 * d:] + (r * h) @ u_n
+        cand[:, t] = np.tanh(n, out=n)
+        h = ((1.0 - z) * h + z * n) * m[:, t] + h * keep[:, t]
+    out = Tensor._make(h)
+
+    def bwd(g_out):
+        gpre = np.empty((B, Tlen, 3 * d))  # gradients of the gate inputs
+        dh = g_out
+        for t in range(Tlen - 1, -1, -1):
+            hp, n = hs[:, t], cand[:, t]
+            z, r = zr[:, t, :d], zr[:, t, d:]
+            dnew = dh * m[:, t]
+            dh = dh * keep[:, t]
+            dn = dnew * z
+            dn *= 1.0 - n * n
+            gpre[:, t, 2 * d:] = dn
+            drh = dn @ u_n.T
+            dz = dnew * (n - hp)
+            dz *= z * (1.0 - z)
+            gpre[:, t, :d] = dz
+            dr = drh * hp
+            dr *= r * (1.0 - r)
+            gpre[:, t, d:2 * d] = dr
+            dh += dnew * (1.0 - z)
+            dh += drh * r
+            dh += gpre[:, t, :2 * d] @ u_zr.T
+        g2 = gpre.reshape(B * Tlen, 3 * d)
+        g_hist = (g2 @ wd.T).reshape(B, Tlen, d)
+        g_w = x2.T @ g2
+        g_uzr = hs.reshape(B * Tlen, d).T @ g2[:, :2 * d]
+        g_un = (zr[:, :, d:] * hs).reshape(B * Tlen, d).T @ g2[:, 2 * d:]
+        return (g_hist, dh, *np.split(g_w, 3, axis=1), *np.split(g_uzr, 2, axis=1),
+                g_un, *np.split(g2.sum(axis=0), 3))
+
+    return _record((hist, h0, *w, *u, *b), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +614,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather rows of a 2-D table; backward scatter-adds into the table."""
+    """Gather rows of a 2-D table; backward scatter-adds into the table.
+
+    The scatter is a product with the (V, n) one-hot matrix of the ids in
+    CSC form, one column per id: it adds each row's gradients in id order
+    from zero and multiplies only by 1.0, so it is bitwise ``np.add.at``.
+    """
     td = _data(table)
     if td.ndim != 2:
         raise ShapeError("embedding table must be 2-D")
@@ -547,9 +629,10 @@ def embedding_lookup(table, ids) -> Tensor:
     out = Tensor._make(td[idx])
 
     def bwd(g):
-        gt = np.zeros_like(td)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        n = idx.size
+        onehot = sparse.csc_array((np.ones(n), idx.reshape(n), np.arange(n + 1)),
+                                  shape=(td.shape[0], n))
+        return (onehot @ g.reshape(n, td.shape[1]),)
 
     return _record((table,), out, bwd)
 

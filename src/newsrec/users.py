@@ -6,7 +6,8 @@ attention, personalized attention with a user-id query, a GRU seeded from
 a long-term user embedding, and self-attention followed by additive
 attention.  A row with no real click still gets a finite embedding, the
 same whether it is encoded alone or inside a batch, and a history axis of
-length zero encodes as one all-masked slot.
+length zero encodes as one all-masked slot.  The two GRU encoders run their
+whole scan as one tape op, ``tensor.gru_scan``.
 """
 
 from __future__ import annotations
@@ -55,25 +56,10 @@ def _gru_params(rng, d: int, prefix: str) -> dict:
 
 def _gru_scan(hist: Tensor, mask: np.ndarray, h0: Tensor, params: dict,
               prefix: str) -> Tensor:
-    """Run GRU gates over (B, T, d) rows; masked steps keep the state.
-
-    Update rule: h' = (1-z)*h + z*htilde  (htilde gated by r).
-    """
-    B, Tlen, d = hist.shape
-    h = h0
-    m = mask.astype(np.float64)
-    for t in range(Tlen):
-        x = T.reshape(T.narrow(hist, -2, t, 1), (B, d))
-        z = T.sigmoid(x @ params[prefix + "wz"] + h @ params[prefix + "uz"]
-                      + params[prefix + "bz"])
-        r = T.sigmoid(x @ params[prefix + "wr"] + h @ params[prefix + "ur"]
-                      + params[prefix + "br"])
-        htilde = T.tanh(x @ params[prefix + "wn"] + (r * h) @ params[prefix + "un"]
-                        + params[prefix + "bn"])
-        hnew = (1.0 - z) * h + z * htilde
-        mt = m[:, t:t + 1]
-        h = hnew * mt + h * (1.0 - mt)
-    return h
+    """Run the GRU ``prefix`` over (B, T, d) rows; masked steps keep the state."""
+    w, u, b = ([params[f"{prefix}{kind}{gate}"] for gate in "zrn"]
+               for kind in "wub")
+    return T.gru_scan(hist, mask, h0, w, u, b)
 
 
 def _at_least_one_slot(hist: Tensor, mask: np.ndarray):

@@ -167,6 +167,17 @@ class TestEmbeddingLookup:
         with pytest.raises(IndexError):
             T.embedding_lookup(Tensor(np.ones((4, 3))), np.asarray([4]))
 
+    @pytest.mark.parametrize("shape", [(0,), (1,), (40,), (0, 3), (6, 7), (2, 3, 5)])
+    def test_gradient_equals_add_at_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        ids = rng.integers(0, 5, size=shape)  # five rows, so ids repeat
+        g = rng.normal(size=shape + (4,)) * 10.0 ** rng.integers(-8, 9, size=shape + (4,))
+        _, (gt,) = _forward_backward(T.embedding_lookup, table, ids, upstream=g)
+        expected = np.zeros((5, 4))
+        np.add.at(expected, ids, g)
+        assert np.array_equal(gt, expected)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -409,6 +420,22 @@ class TestKernelsBitwise:
         assert np.array_equal(out, y)
         assert np.array_equal(gx, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
+    def test_tanh(self):
+        x, g = self.x, self.g
+        out, (gx,) = self._run(T.tanh, Tensor(x))
+        y = np.tanh(x)
+        assert np.array_equal(out, y)
+        assert np.array_equal(gx, g * (1.0 - y * y))
+
+    def test_sigmoid(self):
+        from scipy.special import expit
+        x, g = self.x, self.g
+        out, (gx,) = self._run(T.sigmoid, Tensor(x))
+        y = expit(x)
+        assert np.max(np.abs(out - 1.0 / (1.0 + np.exp(-x))) / out) < 1e-15
+        assert np.array_equal(out, y)
+        assert np.array_equal(gx, g * y * (1.0 - y))
+
     def test_layer_norm(self):
         x, g = self.x, self.g
         gain, bias = self.rng.normal(size=6), self.rng.normal(size=6)
@@ -432,6 +459,29 @@ class TestKernelsBitwise:
             _, grads = _forward_backward(op, *inputs, upstream=self.g)
             assert [gr is None for gr in grads] == [
                 not isinstance(i, Tensor) for i in inputs]
+
+
+class TestGruScan:
+    def test_gradient_check(self):
+        rng = np.random.default_rng(12)
+        B, Tlen, d = 3, 4, 5
+        params = {"hist": rng.normal(size=(B, Tlen, d)), "h0": rng.normal(size=(B, d))}
+        params.update({f"{k}{gate}": rng.normal(0.0, 0.5, (d,) if k == "b" else (d, d))
+                       for k in "wub" for gate in "zrn"})
+        params = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        mask = np.ones((B, Tlen))
+        mask[0, 2:] = 0.0
+        mask[2] = 0.0
+        c = rng.normal(size=(B, d))
+
+        def model_fn():
+            w, u, b = ([params[f"{k}{gate}"] for gate in "zrn"] for k in "wub")
+            return T.reduce_sum(T.gru_scan(params["hist"], mask, params["h0"],
+                                           w, u, b) * c)
+
+        report = gradient_check(model_fn, params)
+        assert report["failed"] == []
+        assert report["max_overall"] < 1e-6
 
 
 class TestMiscOps:

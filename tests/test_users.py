@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from newsrec import tensor as T
 from newsrec.encoders import NewsEncoderSpec, param_count
 from newsrec.model import ModelSpec, Recommender
-from newsrec.tensor import Tensor
+from newsrec.tensor import ComputationTape, Tensor
 from newsrec.text import build_vocab
 from newsrec.users import USER_ENCODER_KINDS, UserEncoderSpec, build_user_encoder
 
@@ -38,6 +39,81 @@ def _gru_step_oracle(params, x, h):
     r = _sigmoid(x @ p["gru.wr"] + h @ p["gru.ur"] + p["gru.br"])
     htilde = np.tanh(x @ p["gru.wn"] + (r * h) @ p["gru.un"] + p["gru.bn"])
     return (1.0 - z) * h + z * htilde
+
+
+def _unrolled_gru_scan(hist, mask, h0, w, u, b):
+    """The GRU unrolled into elementary tape ops, one set per step."""
+    B, Tlen, d = hist.shape
+    h = h0
+    m = mask.astype(np.float64)
+    for t in range(Tlen):
+        x = T.reshape(T.narrow(hist, -2, t, 1), (B, d))
+        z = T.sigmoid(x @ w[0] + h @ u[0] + b[0])
+        r = T.sigmoid(x @ w[1] + h @ u[1] + b[1])
+        htilde = T.tanh(x @ w[2] + (r * h) @ u[2] + b[2])
+        hnew = (1.0 - z) * h + z * htilde
+        mt = m[:, t:t + 1]
+        h = hnew * mt + h * (1.0 - mt)
+    return h
+
+
+def _scan_case(rng, B, Tlen, d):
+    """Random inputs for a scan: a random mask with one all-masked row."""
+    def tensor(*shape, scale=1.0):
+        return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
+
+    mask = (rng.random((B, Tlen)) < 0.7).astype(np.float64)
+    mask[rng.integers(B)] = 0.0
+    gates = [tuple(tensor(*shape, scale=0.5) for _ in "zrn")
+             for shape in ((d, d), (d, d), (d,))]
+    return tensor(B, Tlen, d), mask, tensor(B, d), gates
+
+
+def _value_and_grads(scan, hist, mask, h0, gates, upstream):
+    inputs = [hist, h0, *gates[0], *gates[1], *gates[2]]
+    for x in inputs:
+        x.grad = None
+    with ComputationTape() as tape:
+        out = scan(hist, mask, h0, *gates)
+        tape.backward(T.reduce_sum(out * upstream), params=inputs)
+    return out.data, [x.grad for x in inputs]
+
+
+class TestGruScan:
+    """``tensor.gru_scan`` against the unrolled scan it replaces."""
+
+    @pytest.mark.parametrize("B,Tlen,d", [(4, 5, 8), (1, 1, 8), (3, 0, 4),
+                                          (1, 16, 4), (5, 2, 32), (3, 1, 8)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_unrolled_oracle(self, B, Tlen, d, seed):
+        rng = np.random.default_rng(seed)
+        hist, mask, h0, gates = _scan_case(rng, B, Tlen, d)
+        upstream = rng.normal(size=(B, d))
+        out, grads = _value_and_grads(T.gru_scan, hist, mask, h0, gates, upstream)
+        ref, ref_grads = _value_and_grads(_unrolled_gru_scan, hist, mask, h0,
+                                          gates, upstream)
+        assert np.max(np.abs(out - ref), initial=0.0) < 1e-12
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.shape == ref_g.shape
+            assert np.max(np.abs(g - ref_g), initial=0.0) < 1e-12
+
+    def test_all_masked_rows_pass_state_and_gradient_through(self):
+        rng = np.random.default_rng(2)
+        hist, mask, h0, gates = _scan_case(rng, 3, 4, 8)
+        mask[:] = 0.0
+        upstream = rng.normal(size=(3, 8))
+        out, grads = _value_and_grads(T.gru_scan, hist, mask, h0, gates, upstream)
+        assert np.array_equal(out, h0.data)
+        assert np.array_equal(grads[1], upstream)
+        assert all(not np.any(g) for i, g in enumerate(grads) if i != 1)
+
+    def test_output_never_aliases_h0(self):
+        h0 = Tensor(np.zeros((2, 4)))
+        gates = [tuple(Tensor(np.zeros(s)) for _ in "zrn") for s in ((4, 4),) * 2 + ((4,),)]
+        for Tlen in (0, 2):
+            out = T.gru_scan(Tensor(np.zeros((2, Tlen, 4))), np.zeros((2, Tlen)),
+                             h0, *gates)
+            assert not np.shares_memory(out.data, h0.data)
 
 
 class TestGru:
