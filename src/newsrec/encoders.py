@@ -46,8 +46,17 @@ class NewsEncoderSpec:
             raise ValueError(f"unknown news encoder kind {self.kind!r}")
         if self.pooling not in POOL_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
+        if self.d_model < 1:
+            raise ValueError("d_model must be >= 1")
+        if self.kind == MINI_PLM and self.d_model < 2:
+            raise ValueError("mini_plm d_model must be >= 2: layer norm needs "
+                             "two features")
+        if self.num_heads < 1:
+            raise ValueError("num_heads must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
         if self.kind == MINI_PLM and self.depth < 1:
             raise ValueError("mini_plm depth must be >= 1")
         if self.kind == CNN and self.conv_window % 2 == 0:
@@ -79,20 +88,9 @@ def key_mask_bias(mask: np.ndarray) -> np.ndarray:
 def multi_head_attention(x: Tensor, mask: np.ndarray, params: dict, prefix: str,
                          num_heads: int) -> Tensor:
     """Self-attention over (B, M, d) states with padded keys masked out."""
-    B, M, d = x.shape
-    dk = d // num_heads
-    q = x @ params[prefix + "wq"] + params[prefix + "bq"]
-    k = x @ params[prefix + "wk"] + params[prefix + "bk"]
-    v = x @ params[prefix + "wv"] + params[prefix + "bv"]
-
-    def heads(t):
-        return T.permute(T.reshape(t, (B, M, num_heads, dk)), (0, 2, 1, 3))
-
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    logits = (qh @ T.transpose_last(kh)) * (1.0 / np.sqrt(dk))
-    att = T.softmax(logits + key_mask_bias(mask), axis=-1)
-    ctx = T.reshape(T.permute(att @ vh, (0, 2, 1, 3)), (B, M, d))
-    return ctx @ params[prefix + "wo"] + params[prefix + "bo"]
+    p = [params[prefix + name] for name in ("wq", "bq", "wk", "bk", "wv", "bv",
+                                            "wo", "bo")]
+    return T.attention(x, key_mask_bias(mask), *p, num_heads)
 
 
 def _attn_params(rng, d: int, prefix: str) -> dict:

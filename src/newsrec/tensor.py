@@ -9,9 +9,11 @@ forward computations (used for evaluation).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +38,7 @@ __all__ = [
     "tanh",
     "sigmoid",
     "gru_scan",
+    "attention",
     "reduce_sum",
     "reduce_mean",
     "reshape",
@@ -47,6 +50,31 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+
+def _pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; False if it cannot be set.
+
+    OpenBLAS splits the row sum of a large GEMM (a weight gradient over
+    every token row) between its threads, so the last bits of such a
+    product depend on the thread count.  One thread makes every result
+    independent of the machine's cores and of ``OPENBLAS_NUM_THREADS``.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy's loaded copy, not a new one
+        except OSError:
+            continue
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return True
+    return False
+
+
+BLAS_PINNED = _pin_blas_threads()
 
 
 class ShapeError(ValueError):
@@ -441,6 +469,72 @@ def gru_scan(hist, mask, h0, w, u, b) -> Tensor:
                 g_un, *np.split(g2.sum(axis=0), 3))
 
     return _record((hist, h0, *w, *u, *b), out, bwd)
+
+
+def attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads: int) -> Tensor:
+    """Multi-head self-attention over the (B, M, d) rows of ``x``; one tape entry.
+
+    ``key_bias`` is an additive logit bias broadcast to (B, h, M, M), e.g.
+    (B, 1, 1, M) with a large negative value for each padded key.  Per
+    head, with q, k, v the head's slices of ``x Wq + bq`` and so on:
+
+        ctx = softmax(q k^T / sqrt(d / h) + key_bias) v,  out = ctx Wo + bo
+
+    Q, K and V come from one (B·M, d) @ (d, 3d) GEMM, the heads are strided
+    views of its output, and scale, bias and softmax run in place on the
+    logits; the heads' contexts are written straight into (B, M, d) layout.
+    Backward is hand-written: the q, k and v head gradients land in one
+    (B, M, 3d) buffer, so the input, the packed weights and the packed
+    biases each take one GEMM or one sum.
+    """
+    xd = _data(x)
+    B, M, d = xd.shape
+    if num_heads < 1 or d % num_heads:
+        raise ShapeError(f"{num_heads} heads do not divide d_model {d}")
+    if M == 0:
+        raise ShapeError("attention over an empty sequence")
+    dk = d // num_heads
+    scale = 1.0 / np.sqrt(dk)
+    x2 = xd.reshape(B * M, d)
+    w_qkv = np.concatenate([_data(wq), _data(wk), _data(wv)], axis=1)
+    wod = _data(wo)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate([_data(bq), _data(bk), _data(bv)])
+    # (3, B, h, M, dk) views: head j of q is qkv[b, m, j*dk:(j+1)*dk]
+    q, k, v = qkv.reshape(B, M, 3, num_heads, dk).transpose(2, 0, 3, 1, 4)
+    att = q @ np.swapaxes(k, -1, -2)
+    att *= scale
+    att += key_bias
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = np.empty((B, M, d))
+    np.matmul(att, v, out=ctx.reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3))
+    ctx2 = ctx.reshape(B * M, d)
+    y = ctx2 @ wod
+    y += _data(bo)
+    out = Tensor._make(y.reshape(B, M, d))
+
+    def bwd(g):
+        g2 = g.reshape(B * M, d)
+        g_ctx = (g2 @ wod.T).reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((B, M, 3, num_heads, dk))
+        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(np.swapaxes(att, -1, -2), g_ctx, out=gv)
+        # softmax Jacobian in place: att * (g_att - sum(g_att * att)), scaled
+        g_att = g_ctx @ np.swapaxes(v, -1, -2)
+        g_att -= (g_att * att).sum(axis=-1, keepdims=True)
+        g_att *= att
+        g_att *= scale
+        np.matmul(g_att, k, out=gq)
+        np.matmul(np.swapaxes(g_att, -1, -2), q, out=gk)
+        g3 = g_qkv.reshape(B * M, 3 * d)
+        g_w = np.split(x2.T @ g3, 3, axis=1)
+        g_b = np.split(g3.sum(axis=0), 3)
+        return ((g3 @ w_qkv.T).reshape(B, M, d), g_w[0], g_b[0], g_w[1], g_b[1],
+                g_w[2], g_b[2], ctx2.T @ g2, g2.sum(axis=0))
+
+    return _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bwd)
 
 
 # ---------------------------------------------------------------------------

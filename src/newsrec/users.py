@@ -41,6 +41,10 @@ class UserEncoderSpec:
     def __post_init__(self):
         if self.kind not in USER_ENCODER_KINDS:
             raise ValueError(f"unknown user encoder kind {self.kind!r}")
+        if self.d_model < 1:
+            raise ValueError("d_model must be >= 1")
+        if self.num_heads < 1:
+            raise ValueError("num_heads must be >= 1")
         if self.kind == NRMS_SELF_ATTN and self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
 

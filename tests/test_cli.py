@@ -90,6 +90,21 @@ class TestConfigValidation:
         assert result.exit_code == 2
         assert "invalid synthetic spec" in result.output
 
+    @pytest.mark.parametrize("key,value", [
+        ("model.news_encoder.num_heads", 0),
+        ("model.news_encoder.num_heads", -4),
+        ("model.news_encoder.dropout", 1.5),
+        ("model.news_encoder.d_model", 0)])
+    def test_invalid_encoder_size_or_rate_is_config_error(self, runner,
+                                                          tmp_path, key, value):
+        cfg = _write_config(tmp_path, {key: value})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: invalid model section")
+        assert result.output.count("\n") == 1
+
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [
             {"market": "EN-US", "news": str(tmp_path / "no.tsv"),

@@ -52,6 +52,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NewsEncoderSpec(kind=MINI_PLM, depth=2, finetune_last_k=3)
 
+    @pytest.mark.parametrize("kw", [
+        {"num_heads": 0}, {"num_heads": -4}, {"d_model": 0},
+        {"d_model": -8, "num_heads": 1}, {"dropout": 1.5}, {"dropout": 1.0},
+        {"dropout": -0.1}, {"kind": MINI_PLM, "d_model": 1, "num_heads": 1},
+        {"kind": CNN, "num_heads": 0}])
+    def test_invalid_sizes_and_rates(self, kw):
+        with pytest.raises(ValueError):
+            NewsEncoderSpec(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"kind": SELF_ATTN, "d_model": 1, "num_heads": 1},
+        {"kind": CNN, "d_model": 1, "num_heads": 1}, {"dropout": 0.0},
+        {"dropout": 0.99}])
+    def test_smallest_valid_sizes_and_rates(self, kw):
+        NewsEncoderSpec(**kw)
+
 
 class TestCnnEncoder:
     def test_all_pad_gives_zero_states(self):

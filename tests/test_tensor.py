@@ -484,6 +484,106 @@ class TestGruScan:
         assert report["max_overall"] < 1e-6
 
 
+def _composite_attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads):
+    """Multi-head self-attention from elementary tape ops, head permutes
+    included: the expression ``tensor.attention`` fuses."""
+    B, M, d = x.shape
+    dk = d // num_heads
+
+    def heads(t):
+        return T.permute(T.reshape(t, (B, M, num_heads, dk)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(x @ wq + bq), heads(x @ wk + bk), heads(x @ wv + bv)
+    logits = (qh @ T.transpose_last(kh)) * (1.0 / np.sqrt(dk))
+    att = T.softmax(logits + key_bias, axis=-1)
+    ctx = T.reshape(T.permute(att @ vh, (0, 2, 1, 3)), (B, M, d))
+    return ctx @ wo + bo
+
+
+def _attention_case(rng, B, M, d, empty_row=True):
+    """Random inputs and a random key mask in which one row's only real key
+    is CLS (column 0) and, with B > 1 and ``empty_row``, one row has no real
+    key at all (its logits round to the bias, so finite differences see a
+    constant there)."""
+    x = Tensor(rng.normal(size=(B, M, d)), requires_grad=True)
+    weights = [Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
+               for _ in range(4) for shape in ((d, d), (d,))]
+    mask = (rng.random((B, M)) < 0.6).astype(np.float64)
+    mask[:, 0] = 1.0
+    mask[0, 1:] = 0.0
+    if B > 1 and empty_row:
+        mask[-1] = 0.0
+    key_bias = ((mask - 1.0) * 1e30)[:, None, None, :]
+    return x, key_bias, weights
+
+
+class TestAttention:
+    """``tensor.attention`` against the composite expression it replaces."""
+
+    @pytest.mark.parametrize("B,M,d,heads", [
+        (4, 7, 8, 1), (4, 7, 8, 2), (3, 9, 16, 4), (1, 5, 8, 4), (3, 1, 8, 2),
+        (1, 1, 4, 4), (6, 12, 32, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_composite_oracle(self, B, M, d, heads, seed):
+        rng = np.random.default_rng(seed)
+        x, key_bias, weights = _attention_case(rng, B, M, d)
+        upstream = rng.normal(size=(B, M, d))
+        inputs = [x, *weights]
+        results = []
+        for op in (T.attention, _composite_attention):
+            for t in inputs:
+                t.grad = None
+            with ComputationTape() as tape:
+                out = op(x, key_bias, *weights, heads)
+                tape.backward(T.reduce_sum(out * upstream), params=inputs)
+            results.append((out.data, [t.grad for t in inputs]))
+        (out, grads), (ref, ref_grads) = results
+        assert np.max(np.abs(out - ref)) < 1e-12
+        assert len(grads) == 9
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.shape == ref_g.shape
+            assert np.max(np.abs(g - ref_g)) < 1e-12
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(13)
+        x, key_bias, weights = _attention_case(rng, 3, 4, 4, empty_row=False)
+        names = [f"{kind}{part}" for part in "qkvo" for kind in "wb"]
+        params = {"x": x, **dict(zip(names, weights))}
+        c = rng.normal(size=(3, 4, 4))
+
+        def model_fn():
+            return T.reduce_sum(T.attention(
+                params["x"], key_bias, *(params[n] for n in names), 2) * c)
+
+        report = gradient_check(model_fn, params)
+        assert report["failed"] == []
+        # softmax ignores a shift shared by a row's logits, so bk's gradient
+        # is zero and its finite differences are roundoff alone
+        assert np.max(np.abs(params["bk"].grad)) < 1e-12
+        assert max(e for n, e in report["max_rel_error"].items()
+                   if n != "bk") < 1e-6
+
+    def test_inputs_and_upstream_untouched_and_output_not_aliased(self):
+        rng = np.random.default_rng(14)
+        x, key_bias, weights = _attention_case(rng, 3, 5, 8)
+        upstream = rng.normal(size=(3, 5, 8))
+        arrays = [x.data, key_bias, *(w.data for w in weights), upstream]
+        kept = [a.copy() for a in arrays]
+        out, grads = _forward_backward(
+            lambda *a: T.attention(a[0], key_bias, *a[1:], 2), x, *weights,
+            upstream=upstream)
+        for before, now in zip(kept, arrays):
+            assert np.array_equal(before, now)
+        assert not np.shares_memory(out, x.data)
+        assert all(not np.shares_memory(g, upstream) for g in grads)
+
+    def test_heads_must_divide_width(self):
+        x, key_bias, weights = _attention_case(np.random.default_rng(15), 2, 3, 6)
+        for heads in (4, 0):
+            with pytest.raises(ShapeError):
+                T.attention(x, key_bias, *weights, heads)
+
+
 class TestMiscOps:
     def test_narrow_and_shift(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))

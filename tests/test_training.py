@@ -1,6 +1,11 @@
 """Sample construction, listwise loss, shard aggregation, training loop,
 and MLM pretraining."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -327,3 +332,61 @@ class TestMlmPretrain:
         assert abs(loss - ref_loss) < 1e-12
         for name, g in ref_grads.items():
             assert np.max(np.abs(grads[name] - g)) < 1e-12, name
+
+
+# One batch of the default corpus through two models; prints nothing and
+# saves every parameter gradient to the .npz named by argv[1].
+_GRADIENTS_CHILD = """
+import sys
+import numpy as np
+from newsrec.data import SyntheticSpec, generate_synthetic
+from newsrec.encoders import NewsEncoderSpec
+from newsrec.model import ModelSpec, NewsTokenTable, Recommender
+from newsrec.tensor import ComputationTape
+from newsrec.text import build_vocab
+from newsrec.training import _row_samples, batch_loss, build_training_samples
+from newsrec.users import UserEncoderSpec
+
+arts, imps = generate_synthetic(SyntheticSpec())["EN-US"]
+vocab = build_vocab(a.title for a in arts)
+table = NewsTokenTable(arts, vocab, 12)
+samples, _ = build_training_samples(imps, 4, seed=17)
+users = sorted({i.user_id for i in imps})
+grads = {}
+for tag, news, user in [
+        ("plm_nrms", NewsEncoderSpec(kind="mini_plm", d_model=32, num_heads=4,
+                                     depth=2, pooling="attention"),
+         UserEncoderSpec(kind="nrms", d_model=32, num_heads=4)),
+        ("attn_lstur", NewsEncoderSpec(kind="self_attn", d_model=32,
+                                       num_heads=4, pooling="attention"),
+         UserEncoderSpec(kind="lstur", d_model=32))]:
+    model = Recommender(ModelSpec(news=news, user=user, max_title_len=12),
+                        vocab, user_ids=users, seed=3)
+    params = model.parameters()
+    with ComputationTape() as tape:
+        loss = batch_loss(model, table, _row_samples(model, table,
+                                                     samples[640:704]))
+        tape.backward(loss, params=list(params.values()))
+    grads.update({f"{tag}/{k}": p.grad for k, p in params.items()})
+np.savez(sys.argv[1], **grads)
+"""
+
+
+@pytest.mark.skipif(not T.BLAS_PINNED,
+                    reason="numpy's BLAS offers no thread-count setter")
+def test_gradients_do_not_depend_on_blas_thread_count(tmp_path):
+    """The same batch's gradients under 1 and 2 OpenBLAS threads, each set
+    in the child's environment only, are bitwise equal."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"grads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _GRADIENTS_CHILD, str(out)],
+                       env=env, check=True)
+        runs.append(dict(np.load(out)))
+    assert runs[0].keys() == runs[1].keys() and len(runs[0]) > 40
+    differ = [k for k in runs[0] if not np.array_equal(runs[0][k], runs[1][k])]
+    assert differ == []

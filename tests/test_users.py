@@ -293,3 +293,16 @@ class TestAllEncoders:
         one_slot = enc.forward(Tensor(np.zeros((2, 1, D))), np.zeros((2, 1)), uidx)
         assert empty.shape == (2, D)
         assert np.array_equal(empty.data, one_slot.data)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("kind", USER_ENCODER_KINDS)
+    @pytest.mark.parametrize("kw", [{"num_heads": 0}, {"num_heads": -4},
+                                    {"d_model": 0}, {"d_model": -8}])
+    def test_invalid_sizes(self, kind, kw):
+        with pytest.raises(ValueError):
+            UserEncoderSpec(kind=kind, **{"d_model": 8, "num_heads": 1, **kw})
+
+    def test_head_divisibility(self):
+        with pytest.raises(ValueError):
+            UserEncoderSpec(kind="nrms", d_model=30, num_heads=4)
