@@ -20,9 +20,10 @@ import click
 import numpy as np
 
 from . import evaluation
-from .data import (DataError, SyntheticSpec, dataset_summary, generate_synthetic,
-                   parse_behaviors_tsv, parse_news_tsv, split_dataset,
-                   validate_dataset, write_behaviors_tsv, write_news_tsv)
+from .data import (SPLIT_POLICIES, DataError, SyntheticSpec, dataset_summary,
+                   generate_synthetic, parse_behaviors_tsv, parse_news_tsv,
+                   split_dataset, validate_dataset, write_behaviors_tsv,
+                   write_news_tsv)
 from .encoders import MINI_PLM, NewsEncoderSpec, build_news_encoder
 from .fileio import atomic_open
 from .model import ModelSpec, NewsTokenTable, Recommender
@@ -66,7 +67,7 @@ _ALLOWED = {
     "model.user_encoder": {"kind", "d_model", "num_heads"},
     "train": {"learning_rate", "batch_size", "shards", "negatives_k", "epochs",
               "mlm_rate", "mlm_epochs", "mlm_learning_rate"},
-    "eval": {"split", "metrics"},
+    "eval": {"split"},
     "compare": {"axis", "variants", "num_seeds", "epochs"},
 }
 _SYNTH_KEYS = {f.name for f in fields(SyntheticSpec)}
@@ -150,6 +151,9 @@ class DatasetBundle:
                 synthetic_spec_from(ds["synthetic"], seed))
         elif "paths" in ds:
             for entry in ds["paths"]:
+                if not {"news", "behaviors"} <= set(entry):
+                    raise ConfigError("each dataset.paths entry needs 'news' "
+                                      "and 'behaviors'")
                 market = entry.get("market", "EN-US")
                 arts, bad_n = parse_news_tsv(entry["news"], market=market)
                 imps, bad_b = parse_behaviors_tsv(entry["behaviors"])
@@ -176,11 +180,15 @@ class DatasetBundle:
         validate_dataset(self.articles, self.impressions)
 
         split_cfg = ds.get("split", {})
+        policy = split_cfg.get("policy", "time")
+        if policy not in SPLIT_POLICIES:
+            raise ConfigError(f"dataset.split.policy must be one of "
+                              f"{list(SPLIT_POLICIES)}, got {policy!r}")
         self.splits = split_dataset(
             self.impressions,
             test_fraction=split_cfg.get("test_fraction", 1.0 / 6.0),
             valid_fraction=split_cfg.get("valid_fraction", 0.1),
-            seed=seed, policy=split_cfg.get("policy", "time"),
+            seed=seed, policy=policy,
             allow_random_fallback=split_cfg.get("allow_random_fallback", False))
 
         vocab_cfg = ds.get("vocab", {})
@@ -245,10 +253,13 @@ def _pretrain(cfg, bundle, seed, ckpt_path: Path):
     seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
             for a in bundle.articles]
     t = cfg.get("train", {})
+    mask_rate, epochs = t.get("mlm_rate", 0.15), t.get("mlm_epochs", 40)
+    if not 0.0 < mask_rate < 1.0:
+        raise ConfigError(f"train.mlm_rate must be in (0, 1), got {mask_rate}")
+    if epochs < 1:
+        raise ConfigError(f"train.mlm_epochs must be >= 1, got {epochs}")
     out_bias, losses = mlm_pretrain(
-        seqs, encoder, bundle.vocab.size,
-        mask_rate=t.get("mlm_rate", 0.15),
-        epochs=t.get("mlm_epochs", 40),
+        seqs, encoder, bundle.vocab.size, mask_rate=mask_rate, epochs=epochs,
         learning_rate=t.get("mlm_learning_rate", 3e-3),
         seed=seed)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -298,9 +309,13 @@ def _command(name: str, *options):
         def command(config_path, out_dir, seed, **kwargs):
             try:
                 cfg = load_config(config_path)
+                if seed is None:
+                    seed = cfg.get("seed", 0)
+                if not isinstance(seed, int) or seed < 0:
+                    raise ConfigError(f"seed must be a non-negative integer, "
+                                      f"got {seed!r}")
                 manifest = Manifest(Path(out_dir), cfg)
-                body(cfg, cfg.get("seed", 0) if seed is None else seed,
-                     manifest, **kwargs)
+                body(cfg, seed, manifest, **kwargs)
                 manifest.write()
             except ConfigError as e:
                 click.echo(f"config error: {e}", err=True)
@@ -390,6 +405,9 @@ def cmd_evaluate(cfg, seed, manifest, checkpoint, oracle):
     bundle = DatasetBundle(cfg, seed)
     model, table = _build_model(cfg, bundle, seed, checkpoint)
     split = cfg.get("eval", {}).get("split", "test")
+    if split not in bundle.splits:
+        raise ConfigError(f"eval.split must be one of {list(bundle.splits)}, "
+                          f"got {split!r}")
     override = (lambda labels: labels.astype(float)) if oracle else None
     report = evaluation.evaluate(model, bundle.splits[split], table,
                                  score_override=override)
@@ -403,46 +421,46 @@ def cmd_evaluate(cfg, seed, manifest, checkpoint, oracle):
     click.echo(json.dumps(report.means, sort_keys=True))
 
 
+# compare axis -> (default variants, the news-encoder fields a variant sets);
+# a pretraining variant decides whether to pretrain and sets no field
+_COMPARE_AXES = {
+    "pooling": (["cls", "average", "attention"], lambda v: {"pooling": v}),
+    "depth": ([2, 4, 8], lambda v: {"kind": MINI_PLM, "depth": int(v)}),
+    "encoder": (["cnn", "self_attn", "mini_plm"], lambda v: {"kind": v}),
+    "pretraining": (["scratch", "pretrained"], lambda v: {}),
+}
+
+
 def _compare_variants(cfg):
+    """The compare axis and one config per variant, plus the seed count."""
     cmp_cfg = cfg.get("compare")
     if not cmp_cfg or "axis" not in cmp_cfg:
         raise ConfigError("compare requires a compare section with an axis")
     axis = cmp_cfg["axis"]
-    if axis == "pooling":
-        variants = cmp_cfg.get("variants", ["cls", "average", "attention"])
-    elif axis == "depth":
-        variants = cmp_cfg.get("variants", [2, 4, 8])
-    elif axis == "encoder":
-        variants = cmp_cfg.get("variants", ["cnn", "self_attn", "mini_plm"])
-    elif axis == "pretraining":
-        variants = cmp_cfg.get("variants", ["scratch", "pretrained"])
-    else:
+    if axis not in _COMPARE_AXES:
         raise ConfigError(f"unknown compare axis {axis!r}")
-    return axis, variants, cmp_cfg.get("num_seeds", 3)
-
-
-def _apply_variant(cfg, axis, variant):
-    out = json.loads(json.dumps(cfg))  # deep copy
-    news = out.setdefault("model", {}).setdefault("news_encoder", {})
-    if axis == "pooling":
-        news["pooling"] = variant
-    elif axis == "depth":
-        news["kind"] = MINI_PLM
-        news["depth"] = int(variant)
-    elif axis == "encoder":
-        news["kind"] = variant
-    if "epochs" in out.get("compare", {}):
-        out.setdefault("train", {})["epochs"] = out["compare"]["epochs"]
-    return out
+    defaults, fields_of = _COMPARE_AXES[axis]
+    variant_cfgs = []
+    for variant in cmp_cfg.get("variants", defaults):
+        out = json.loads(json.dumps(cfg))  # deep copy
+        try:
+            news_fields = fields_of(variant)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid {axis} variant {variant!r}") from e
+        out.setdefault("model", {}).setdefault("news_encoder", {}).update(
+            news_fields)
+        if "epochs" in cmp_cfg:
+            out.setdefault("train", {})["epochs"] = cmp_cfg["epochs"]
+        variant_cfgs.append((variant, out))
+    return axis, variant_cfgs, cmp_cfg.get("num_seeds", 3)
 
 
 @_command("compare")
 def cmd_compare(cfg, seed, manifest):
     """Train variants along one axis over several seeds; emit a table."""
-    axis, variants, num_seeds = _compare_variants(cfg)
+    axis, variant_cfgs, num_seeds = _compare_variants(cfg)
     rows = []
-    for variant in variants:
-        vcfg = _apply_variant(cfg, axis, variant)
+    for variant, vcfg in variant_cfgs:
         metrics = {"auc": [], "mrr": [], "ndcg5": [], "ndcg10": []}
         pcount = None
         for run_seed in range(seed, seed + num_seeds):

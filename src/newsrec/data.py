@@ -295,6 +295,9 @@ def _parse_time(ts: str) -> float:
         raise DataError(f"unparseable timestamp {ts!r}") from e
 
 
+SPLIT_POLICIES = ("time", "random")
+
+
 def split_dataset(impressions: list[Impression], test_fraction: float = 1.0 / 6.0,
                   valid_fraction: float = 0.1, seed: int = 0,
                   policy: str = "time", allow_random_fallback: bool = False):
@@ -304,6 +307,8 @@ def split_dataset(impressions: list[Impression], test_fraction: float = 1.0 / 6.
     test; the remainder splits 9:1 into train/valid with a seeded shuffle.
     A degenerate time axis errors unless ``allow_random_fallback`` is set.
     """
+    if policy not in SPLIT_POLICIES:
+        raise ValueError(f"unknown split policy {policy!r}")
     if not impressions:
         raise DataError("cannot split an empty impression list")
     if policy == "time":

@@ -33,6 +33,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.user.d_model != self.news.d_model:
             raise ValueError("user encoder d_model must match news encoder d_model")
+        if self.max_title_len < 2:
+            raise ValueError("max_title_len must be >= 2: a title needs CLS "
+                             "and one token")
+        if self.history_cap < 1:
+            raise ValueError("history_cap must be >= 1")
 
     def config_hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()

@@ -40,7 +40,6 @@ __all__ = [
     "gru_scan",
     "attention",
     "reduce_sum",
-    "reduce_mean",
     "reshape",
     "permute",
     "narrow",
@@ -90,9 +89,9 @@ class CheckpointError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array, optionally carrying a gradient."""
+    """A dense float64 array; ``requires_grad`` marks it as differentiable."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
@@ -100,14 +99,12 @@ class Tensor:
             raise NumericalError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @classmethod
     def _make(cls, arr: np.ndarray) -> "Tensor":
         t = cls.__new__(cls)
         t.data = arr
         t.requires_grad = False
-        t.grad = None
         return t
 
     @property
@@ -125,9 +122,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -137,12 +131,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -184,15 +172,14 @@ class ComputationTape:
         _TAPE_STACK.pop()
         return False
 
-    def backward(self, loss: Tensor, params=None):
-        """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    def backward(self, loss: Tensor,
+                 params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+        """The gradient of ``loss`` for each leaf tensor in ``params``, by name.
 
         Only entries downstream of a requires_grad tensor are
         back-propagated; the rest stay on the tape but cost nothing here.
-
-        ``params`` may list extra tensors that must end up with a gradient
-        even if disconnected (they receive exact zeros).  Calling backward
-        twice on the same tape is an error.
+        A tensor the loss does not reach gets exact zeros.  Calling
+        backward twice on the same tape is an error.
         """
         if self._consumed:
             raise RuntimeError("backward already ran on this tape; build a new tape")
@@ -214,31 +201,17 @@ class ComputationTape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for entry in reversed(self.entries):
             g_out = grads.pop(id(entry.output), None)
-            if g_out is None:
+            if g_out is None or id(entry.output) not in live:
                 continue
-            if id(entry.output) in live:
-                in_grads = entry.backward_fn(g_out)
-                for inp, g in zip(entry.inputs, in_grads):
-                    if g is None or not isinstance(inp, Tensor):
-                        continue
-                    acc = grads.get(id(inp))
-                    grads[id(inp)] = g if acc is None else acc + g
-            if entry.output.requires_grad:
-                out_g = entry.output.grad
-                # intermediate outputs rarely require grad; keep last seen
-                entry.output.grad = g_out if out_g is None else out_g + g_out
+            in_grads = entry.backward_fn(g_out)
+            for inp, g in zip(entry.inputs, in_grads):
+                if g is None or not isinstance(inp, Tensor):
+                    continue
+                acc = grads.get(id(inp))
+                grads[id(inp)] = g if acc is None else acc + g
 
-        seen: set[int] = set()
-        for entry in self.entries:
-            for inp in entry.inputs:
-                if isinstance(inp, Tensor) and inp.requires_grad and id(inp) not in seen:
-                    seen.add(id(inp))
-                    g = grads.get(id(inp))
-                    inp.grad = np.zeros_like(inp.data) if g is None else g
-        if params is not None:
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
+        return {name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+                for name, p in params.items()}
 
 
 def _tape() -> ComputationTape | None:
@@ -279,17 +252,6 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return (_unbroadcast(g, ad.shape) if isinstance(a, Tensor) else None,
                 _unbroadcast(g, bd.shape) if isinstance(b, Tensor) else None)
-
-    return _record((a, b), out, bwd)
-
-
-def sub(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    out = Tensor._make(ad - bd)
-
-    def bwd(g):
-        return (_unbroadcast(g, ad.shape) if isinstance(a, Tensor) else None,
-                _unbroadcast(-g, bd.shape) if isinstance(b, Tensor) else None)
 
     return _record((a, b), out, bwd)
 
@@ -555,12 +517,6 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _record((x,), out, bwd)
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    xd = _data(x)
-    n = xd.size if axis is None else xd.shape[axis]
-    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(x, shape) -> Tensor:
     xd = _data(x)
     out = Tensor._make(xd.reshape(shape))
@@ -814,12 +770,8 @@ def gradient_check(model_fn, params: dict[str, Tensor], tolerance: float = 1e-4,
         raise RuntimeError("model_fn is non-deterministic; gradient check requires "
                            "deterministic forward passes")
 
-    for p in params.values():
-        p.grad = None
     with ComputationTape() as tape:
-        loss = model_fn()
-        tape.backward(loss, params=list(params.values()))
-    analytic = {k: p.grad.copy() for k, p in params.items()}
+        analytic = tape.backward(model_fn(), params)
 
     if rng is None:
         rng = np.random.default_rng(0)

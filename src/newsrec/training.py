@@ -40,10 +40,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "shards", "negatives_k", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.batch_size % self.shards != 0:
             raise ValueError("batch_size must be divisible by shards")
-        if self.negatives_k < 1:
-            raise ValueError("negatives_k must be >= 1")
 
 
 def build_training_samples(impressions: list[Impression], k: int, seed: int,
@@ -56,6 +57,8 @@ def build_training_samples(impressions: list[Impression], k: int, seed: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if history_cap < 1:
+        raise ValueError("history_cap must be >= 1")
     rng = np.random.default_rng(seed)
     samples: list[TrainingSample] = []
     skipped = 0
@@ -197,17 +200,13 @@ def _shard_step(model, table, batch, shards, trainable, dropout_key):
     size = len(batch) // shards
     shard_grads = []
     losses = []
-    names = list(trainable)
     for s in range(shards):
         part = batch[s * size:(s + 1) * size]
         rng = np.random.default_rng((*dropout_key, s))
-        for p in trainable.values():
-            p.grad = None
         with ComputationTape() as tape:
             loss = batch_loss(model, table, part, rng=rng)
-            tape.backward(loss, params=list(trainable.values()))
+            shard_grads.append(tape.backward(loss, trainable))
         losses.append(loss.item())
-        shard_grads.append({n: trainable[n].grad for n in names})
     return float(np.mean(losses)), aggregate_shards(shard_grads)
 
 
@@ -306,15 +305,13 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
             step += 1
             if len(rows) == 0:
                 continue
-            for p in trainable.values():
-                p.grad = None
             with ComputationTape() as tape:
                 states = encoder.forward(ids, mask, rng=rng)
                 loss = _masked_lm_loss(states, rows, targets,
                                        params["token_emb"], out_bias)
-                tape.backward(loss, params=list(trainable.values()))
+                grads = tape.backward(loss, trainable)
             losses.append(loss.item())
-            opt.step({k: p.grad for k, p in trainable.items()})
+            opt.step(grads)
         epoch_losses.append(float(np.mean(losses)))
     return out_bias, epoch_losses
 

@@ -105,6 +105,39 @@ class TestConfigValidation:
         assert result.output.startswith("config error: invalid model section")
         assert result.output.count("\n") == 1
 
+    @pytest.mark.parametrize("command,overrides", [
+        ("train", {"train.epochs": 0}),
+        ("train", {"train.batch_size": 0}),
+        ("train", {"train.shards": 0}),
+        ("train", {"model.max_title_len": 1}),
+        ("train", {"dataset.split": {"policy": "bogus"}}),
+        ("evaluate", {"eval": {"split": "nope"}}),
+        ("pretrain", {"model.news_encoder.kind": "mini_plm",
+                      "train.mlm_rate": 1.5}),
+        ("pretrain", {"model.news_encoder.kind": "mini_plm",
+                      "train.mlm_epochs": 0}),
+        ("train", {"dataset": {"paths": [{"behaviors": "behaviors.tsv"}]}}),
+        ("train", {"seed": -1})],
+        ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
+             "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
+             "seed"])
+    def test_out_of_range_value_is_config_error(self, runner, tmp_path,
+                                                command, overrides):
+        cfg = _write_config(tmp_path, overrides)
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: ")
+        assert result.output.count("\n") == 1
+
+    def test_eval_metrics_key_is_unknown(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"eval": {"metrics": ["auc"]}})
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "unknown key(s) ['metrics'] in eval" in result.output
+
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [
             {"market": "EN-US", "news": str(tmp_path / "no.tsv"),
@@ -150,6 +183,41 @@ class TestGenData:
         for market in ("EN-US", "DE-DE"):
             assert (out / f"news.{market}.tsv").exists()
             assert (out / f"behaviors.{market}.tsv").exists()
+
+
+class TestDatasetPaths:
+    """Training from TSV files written by ``gen-data``."""
+
+    def _paths_config(self, runner, tmp_path, markets_filter):
+        data_dir = tmp_path / "data"
+        cfg = _write_config(tmp_path,
+                            {"dataset.synthetic.markets": ["EN-US", "DE-DE"]})
+        result = runner.invoke(main, ["gen-data", "--config", str(cfg),
+                                      "--out", str(data_dir)])
+        assert result.exit_code == 0, result.output
+        paths = [{"market": m, "news": str(data_dir / f"news.{m}.tsv"),
+                  "behaviors": str(data_dir / f"behaviors.{m}.tsv")}
+                 for m in ("EN-US", "DE-DE")]
+        return _write_config(tmp_path, {"dataset": {
+            "paths": paths, "markets_filter": markets_filter}})
+
+    def test_markets_filter_keeps_only_named_markets(self, runner, tmp_path):
+        cfg = self._paths_config(runner, tmp_path, ["DE-DE"])
+        run = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(run)])
+        assert result.exit_code == 0, result.output
+        users = (run / "user_ids.txt").read_text().splitlines()
+        assert len(users) == 30
+        assert all(u.startswith("DE-DE:") for u in users)
+
+    def test_unknown_market_in_filter_is_data_error(self, runner, tmp_path):
+        cfg = self._paths_config(runner, tmp_path, ["FR-FR"])
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3
+        assert result.output.startswith(
+            "data error: markets_filter references unknown markets ['FR-FR']")
 
 
 class TestPretrain:
@@ -250,6 +318,18 @@ class TestTrainEvaluate:
         assert report["num_impressions"] == 5
         assert 0.0 <= report["means"]["auc"] <= 1.0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_training_is_numerical_abort(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {
+            "model.news_encoder": {"kind": "cnn", "d_model": 16},
+            "model.user_encoder": {"kind": "gru"},
+            "train.learning_rate": 1e300})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 4, result.output
+        assert "numerical abort: loss is non-finite" in result.output
+
     def test_oracle_scorer(self, runner, tmp_path):
         cfg = _write_config(tmp_path)
         ev = tmp_path / "eval"
@@ -298,6 +378,14 @@ class TestCompare:
                          if p.is_file() and p.name != "manifest.json")
         assert "pretrain_seed12/pretrained.ckpt" in written
         assert _manifest(out)["files"] == written
+
+    def test_non_integer_depth_variant(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"compare": {
+            "axis": "depth", "variants": [2, "x"], "num_seeds": 1}})
+        result = runner.invoke(main, ["compare", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.output == "config error: invalid depth variant 'x'\n"
 
     def test_unknown_axis(self, runner, tmp_path):
         cfg = _write_config(tmp_path,

@@ -207,6 +207,10 @@ class TestSplit:
         parts = split_dataset(imps, allow_random_fallback=True)
         assert len(parts["test"]) == round(60 / 6)
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown split policy 'bogus'"):
+            split_dataset(self._imps(60), policy="bogus")
+
     def test_mind_timestamp_format(self):
         imps = self._imps(60)
         for k, imp in enumerate(imps):

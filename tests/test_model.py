@@ -47,6 +47,18 @@ class TestModelSpec:
         blob = json.dumps(fields, sort_keys=True).encode()
         assert spec.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
 
+    @pytest.mark.parametrize("field,value", [("history_cap", 0),
+                                             ("history_cap", -3),
+                                             ("max_title_len", 1)])
+    def test_out_of_range_sizes_rejected(self, field, value):
+        # a cap of 0 would slice history[-0:], the whole history
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(_spec(), **{field: value})
+
+    def test_smallest_valid_sizes(self):
+        spec = dataclasses.replace(_spec(), history_cap=1, max_title_len=2)
+        assert (spec.history_cap, spec.max_title_len) == (1, 2)
+
 
 class TestRecommender:
     def test_caller_spec_untouched(self):

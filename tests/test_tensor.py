@@ -29,7 +29,6 @@ class TestTensor:
         t = Tensor([[1, 2], [3, 4]])
         assert t.data.dtype == np.float64
         assert t.shape == (2, 2)
-        assert t.grad is None
 
 
 class TestMatmul:
@@ -67,15 +66,15 @@ class TestMatmul:
         c = rng.normal(size=lead + (4, 3))
         with ComputationTape() as tape:
             out = a @ b
-            tape.backward(T.reduce_sum(out * c))
+            grads = tape.backward(T.reduce_sum(out * c), {"a": a, "b": b})
         ga, gb = np.empty_like(a.data), np.zeros_like(b.data)
         for idx in np.ndindex(*lead):
             assert np.max(np.abs(out.data[idx] - a.data[idx] @ b.data)) < 1e-12
             ga[idx] = c[idx] @ b.data.T
             gb += a.data[idx].T @ c[idx]
         assert out.shape == lead + (4, 3)
-        assert np.max(np.abs(a.grad - ga)) < 1e-12
-        assert np.max(np.abs(b.grad - gb)) < 1e-12
+        assert np.max(np.abs(grads["a"] - ga)) < 1e-12
+        assert np.max(np.abs(grads["b"] - gb)) < 1e-12
 
     @pytest.mark.parametrize("lead", [(3,), (2, 3)])
     def test_weight_product_gradient_check(self, lead):
@@ -153,10 +152,10 @@ class TestEmbeddingLookup:
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
         with ComputationTape() as tape:
             out = T.embedding_lookup(table, np.asarray([2, 2]))
-            tape.backward(T.reduce_sum(out))
+            grads = tape.backward(T.reduce_sum(out), {"table": table})
         expected = np.zeros((4, 3))
         expected[2] = 2.0
-        assert np.array_equal(table.grad, expected)
+        assert np.array_equal(grads["table"], expected)
 
     def test_empty_ids(self):
         table = Tensor(np.ones((4, 3)))
@@ -183,31 +182,31 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with ComputationTape() as tape:
-            tape.backward(T.reduce_sum(x))
-        assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
+            grads = tape.backward(T.reduce_sum(x), {"x": x})
+        assert np.array_equal(grads["x"], [1.0, 1.0, 1.0])
 
     def test_bilinear(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
         with ComputationTape() as tape:
-            tape.backward(T.reduce_sum(x * y))
-        assert np.array_equal(x.grad, [3.0, 4.0])
-        assert np.array_equal(y.grad, [1.0, 2.0])
+            grads = tape.backward(T.reduce_sum(x * y), {"x": x, "y": y})
+        assert np.array_equal(grads["x"], [3.0, 4.0])
+        assert np.array_equal(grads["y"], [1.0, 2.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with ComputationTape() as tape:
             y = x * 2.0
             with pytest.raises(ShapeError):
-                tape.backward(y)
+                tape.backward(y, {"x": x})
 
     def test_second_backward_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         with ComputationTape() as tape:
             loss = T.reduce_sum(x)
-            tape.backward(loss)
+            tape.backward(loss, {"x": x})
             with pytest.raises(RuntimeError):
-                tape.backward(loss)
+                tape.backward(loss, {"x": x})
 
     def test_dead_branch_is_not_back_propagated(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -222,17 +221,19 @@ class TestBackward:
             T._record((frozen,), dead, refuse)
             loss = T.reduce_sum((T.tanh(dead) @ w) * 2.0)
             recorded = len(tape.entries)
-            tape.backward(loss)
+            grads = tape.backward(loss, {"w": w, "frozen": frozen})
         assert len(tape.entries) == recorded == 5
-        assert np.array_equal(w.grad, 2.0 * np.tanh(dead.data).T @ np.ones((2, 2)))
-        assert frozen.grad is None
+        assert np.array_equal(grads["w"],
+                              2.0 * np.tanh(dead.data).T @ np.ones((2, 2)))
+        assert np.array_equal(grads["frozen"], np.zeros((2, 2)))
 
     def test_unused_parameter_gets_zero_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
         with ComputationTape() as tape:
-            tape.backward(T.reduce_sum(x * x), params=[x, unused])
-        assert np.array_equal(unused.grad, [0.0])
+            grads = tape.backward(T.reduce_sum(x * x), {"x": x, "unused": unused})
+        assert np.array_equal(grads["x"], [2.0, 4.0])
+        assert np.array_equal(grads["unused"], [0.0])
 
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -452,7 +453,7 @@ class TestKernelsBitwise:
                                          - xhat * (gy * xhat).mean(
                                              axis=-1, keepdims=True)))
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    @pytest.mark.parametrize("op", [T.add, T.mul])
     def test_constant_operand_gets_no_gradient(self, op):
         x = Tensor(self.x, requires_grad=True)
         for inputs in ((x, 0.5), (x, np.ones(6)), (np.ones(6), x)):
@@ -528,15 +529,13 @@ class TestAttention:
         rng = np.random.default_rng(seed)
         x, key_bias, weights = _attention_case(rng, B, M, d)
         upstream = rng.normal(size=(B, M, d))
-        inputs = [x, *weights]
+        inputs = dict(enumerate([x, *weights]))
         results = []
         for op in (T.attention, _composite_attention):
-            for t in inputs:
-                t.grad = None
             with ComputationTape() as tape:
                 out = op(x, key_bias, *weights, heads)
-                tape.backward(T.reduce_sum(out * upstream), params=inputs)
-            results.append((out.data, [t.grad for t in inputs]))
+                grads = tape.backward(T.reduce_sum(out * upstream), inputs)
+            results.append((out.data, list(grads.values())))
         (out, grads), (ref, ref_grads) = results
         assert np.max(np.abs(out - ref)) < 1e-12
         assert len(grads) == 9
@@ -559,7 +558,9 @@ class TestAttention:
         assert report["failed"] == []
         # softmax ignores a shift shared by a row's logits, so bk's gradient
         # is zero and its finite differences are roundoff alone
-        assert np.max(np.abs(params["bk"].grad)) < 1e-12
+        with ComputationTape() as tape:
+            g_bk = tape.backward(model_fn(), params)["bk"]
+        assert np.max(np.abs(g_bk)) < 1e-12
         assert max(e for n, e in report["max_rel_error"].items()
                    if n != "bk") < 1e-6
 

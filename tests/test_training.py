@@ -72,6 +72,15 @@ class TestSampleConstruction:
         imp.history = [f"H{i}" for i in range(60)]
         samples, _ = build_training_samples([imp], 4, seed=0, history_cap=50)
         assert samples[0].history == imp.history[-50:]
+        samples, _ = build_training_samples([imp], 4, seed=0, history_cap=1)
+        assert samples[0].history == ["H59"]
+
+    def test_history_cap_zero_rejected(self):
+        # history[-0:] is the whole history, not an empty one
+        imp = _impression(1, 4)
+        imp.history = ["H0", "H1"]
+        with pytest.raises(ValueError, match="history_cap"):
+            build_training_samples([imp], 4, seed=0, history_cap=0)
 
 
 class TestListwiseLoss:
@@ -190,6 +199,12 @@ class TestTrain:
     def test_shard_divisibility_enforced(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=10, shards=3)
+
+    @pytest.mark.parametrize("field", ["batch_size", "shards", "negatives_k",
+                                       "epochs"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: 0})
 
     def test_frozen_layers_leave_trainable_gradients_bitwise(self):
         news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
@@ -319,12 +334,9 @@ class TestMlmPretrain:
                     * (-1.0 / len(rows)))
 
         def run(head):
-            for p in params.values():
-                p.grad = None
             with ComputationTape() as tape:
                 loss = head(enc.forward(ids, mask))
-                tape.backward(loss, params=list(params.values()))
-            return loss.item(), {k: p.grad for k, p in params.items()}
+                return loss.item(), tape.backward(loss, params)
 
         loss, grads = run(lambda s: _masked_lm_loss(s, rows, targets, emb,
                                                     out_bias))
@@ -366,8 +378,8 @@ for tag, news, user in [
     with ComputationTape() as tape:
         loss = batch_loss(model, table, _row_samples(model, table,
                                                      samples[640:704]))
-        tape.backward(loss, params=list(params.values()))
-    grads.update({f"{tag}/{k}": p.grad for k, p in params.items()})
+        model_grads = tape.backward(loss, params)
+    grads.update({f"{tag}/{k}": g for k, g in model_grads.items()})
 np.savez(sys.argv[1], **grads)
 """
 

@@ -51,7 +51,7 @@ def _unrolled_gru_scan(hist, mask, h0, w, u, b):
         z = T.sigmoid(x @ w[0] + h @ u[0] + b[0])
         r = T.sigmoid(x @ w[1] + h @ u[1] + b[1])
         htilde = T.tanh(x @ w[2] + (r * h) @ u[2] + b[2])
-        hnew = (1.0 - z) * h + z * htilde
+        hnew = (1.0 + -z) * h + z * htilde  # 1 + (-z) rounds as 1 - z
         mt = m[:, t:t + 1]
         h = hnew * mt + h * (1.0 - mt)
     return h
@@ -70,13 +70,11 @@ def _scan_case(rng, B, Tlen, d):
 
 
 def _value_and_grads(scan, hist, mask, h0, gates, upstream):
-    inputs = [hist, h0, *gates[0], *gates[1], *gates[2]]
-    for x in inputs:
-        x.grad = None
+    inputs = dict(enumerate([hist, h0, *gates[0], *gates[1], *gates[2]]))
     with ComputationTape() as tape:
         out = scan(hist, mask, h0, *gates)
-        tape.backward(T.reduce_sum(out * upstream), params=inputs)
-    return out.data, [x.grad for x in inputs]
+        grads = tape.backward(T.reduce_sum(out * upstream), inputs)
+    return out.data, list(grads.values())
 
 
 class TestGruScan:
