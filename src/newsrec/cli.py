@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 import sys
-from dataclasses import fields
+import typing
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import evaluation
-from .data import (SPLIT_POLICIES, DataError, SyntheticSpec, dataset_summary,
+from .data import (DataError, SyntheticSpec, dataset_summary,
                    generate_synthetic, parse_behaviors_tsv, parse_news_tsv,
                    split_dataset, validate_dataset, write_behaviors_tsv,
                    write_news_tsv)
@@ -55,35 +56,62 @@ REFERENCE_NOTE = "reference, not reproducible at desk scale"
 # config loading / validation
 # ---------------------------------------------------------------------------
 
-_ALLOWED = {
-    "": {"seed", "dataset", "model", "train", "eval", "compare"},
-    "dataset": {"synthetic", "paths", "split", "vocab", "markets_filter"},
-    "dataset.split": {"test_fraction", "valid_fraction", "policy",
-                      "allow_random_fallback"},
-    "dataset.vocab": {"min_count", "max_size"},
-    "model": {"news_encoder", "user_encoder", "max_title_len", "history_cap"},
-    "model.news_encoder": {"kind", "d_model", "num_heads", "depth", "conv_window",
-                           "pooling", "finetune_last_k", "dropout"},
-    "model.user_encoder": {"kind", "d_model", "num_heads"},
-    "train": {"learning_rate", "batch_size", "shards", "negatives_k", "epochs",
-              "mlm_rate", "mlm_epochs", "mlm_learning_rate"},
-    "eval": {"split"},
-    "compare": {"axis", "variants", "num_seeds", "epochs"},
+# config section -> (the spec or function that takes it whole, the keyword
+# parameters the program supplies); the consumer's other keyword parameters
+# are the section's keys, with their annotated types, defaults and checks
+_CONSUMERS = {
+    "dataset.synthetic": (SyntheticSpec, ()),
+    "dataset.split": (split_dataset, ("impressions", "seed")),
+    "dataset.vocab": (build_vocab, ("corpus",)),
+    "model": (ModelSpec, ("news", "user")),
+    "model.news_encoder": (NewsEncoderSpec, ()),
+    "model.user_encoder": (UserEncoderSpec, ("user_table_size",)),
+    "train": (TrainConfig, ("seed",)),
 }
-_SYNTH_KEYS = {f.name for f in fields(SyntheticSpec)}
+# the keys, with their types, of the objects that no spec takes whole
+_ALLOWED = {
+    "": {"seed": int, "dataset": dict, "model": dict, "train": dict,
+         "eval": dict, "compare": dict},
+    "dataset": {"synthetic": dict, "paths": list[dict], "split": dict,
+                "vocab": dict, "markets_filter": list[str]},
+    "model": {"news_encoder": dict, "user_encoder": dict},
+    "eval": {"split": str},
+    "compare": {"axis": str, "variants": list, "num_seeds": int, "epochs": int},
+}
 
 
-def _check_keys(section: dict, path: str):
-    allowed = _ALLOWED.get(path)
-    if allowed is None:
-        return
-    unknown = set(section) - allowed
-    if unknown:
-        where = path or "top level"
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    for key, val in section.items():
-        if isinstance(val, dict):
-            _check_keys(val, f"{path}.{key}" if path else key)
+def _is_json_type(value, hint) -> bool:
+    """Whether JSON ``value`` has type ``hint``: a bool only where a bool is
+    expected, an int also where a float is."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _is_json_type(v, *typing.get_args(hint)) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_section(section, path: str):
+    """Reject an unknown key or a value of the wrong type in config section
+    ``path`` and in the sections it holds."""
+    where = path or "config root"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    keys = dict(_ALLOWED.get(path, {}))
+    if path in _CONSUMERS:
+        consumer, supplied = _CONSUMERS[path]
+        hints = typing.get_type_hints(consumer)
+        keys.update((k, hints[k]) for k in inspect.signature(consumer)
+                    .parameters if k not in supplied)
+    if unknown := sorted(set(section) - set(keys)):
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    for key, value in section.items():
+        sub, hint = f"{path}.{key}" if path else key, keys[key]
+        if hint is dict:
+            _check_section(value, sub)
+        elif not _is_json_type(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{sub} must be {name}, got {value!r}")
 
 
 def load_config(path) -> dict:
@@ -92,13 +120,7 @@ def load_config(path) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, "")
-    if "dataset" in cfg and "synthetic" in cfg["dataset"]:
-        unknown = set(cfg["dataset"]["synthetic"]) - _SYNTH_KEYS
-        if unknown:
-            raise ConfigError(f"unknown synthetic key(s) {sorted(unknown)}")
+    _check_section(cfg, "")
     return cfg
 
 
@@ -106,27 +128,29 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _build(what: str, consumer, *args, **kwargs):
+    """``consumer(*args, **kwargs)``, raising the ValueError of a range check
+    as a ConfigError about ``what``; a DataError passes through unchanged."""
+    try:
+        return consumer(*args, **kwargs)
+    except DataError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"invalid {what}: {e}") from e
+
+
 def model_spec_from(cfg: dict) -> ModelSpec:
     m = cfg.get("model", {})
-    try:
-        news = NewsEncoderSpec(**m.get("news_encoder", {}))
-        user_kw = dict(m.get("user_encoder", {}))
-        user_kw.setdefault("d_model", news.d_model)
-        user = UserEncoderSpec(**user_kw)
-        return ModelSpec(news=news, user=user,
-                         max_title_len=m.get("max_title_len", 30),
-                         history_cap=m.get("history_cap", 50))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid model section: {e}") from e
+    news = _build("model section", NewsEncoderSpec, **m.get("news_encoder", {}))
+    user = _build("model section", UserEncoderSpec,
+                  **{"d_model": news.d_model, **m.get("user_encoder", {})})
+    return _build("model section", ModelSpec, news=news, user=user,
+                  **{k: v for k, v in m.items() if k not in _ALLOWED["model"]})
 
 
 def train_config_from(cfg: dict, seed: int) -> TrainConfig:
-    t = {k: v for k, v in cfg.get("train", {}).items()
-         if k not in ("mlm_rate", "mlm_epochs", "mlm_learning_rate")}
-    try:
-        return TrainConfig(seed=seed, **t)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid train section: {e}") from e
+    return _build("train section", TrainConfig, seed=seed,
+                  **cfg.get("train", {}))
 
 
 def synthetic_spec_from(synth: dict, seed: int) -> SyntheticSpec:
@@ -134,7 +158,7 @@ def synthetic_spec_from(synth: dict, seed: int) -> SyntheticSpec:
     run seed."""
     try:
         return SyntheticSpec(**{"seed": seed, **synth})
-    except (TypeError, DataError) as e:
+    except DataError as e:
         raise ConfigError(f"invalid synthetic spec: {e}") from e
 
 
@@ -151,10 +175,11 @@ class DatasetBundle:
                 synthetic_spec_from(ds["synthetic"], seed))
         elif "paths" in ds:
             for entry in ds["paths"]:
-                if not {"news", "behaviors"} <= set(entry):
-                    raise ConfigError("each dataset.paths entry needs 'news' "
-                                      "and 'behaviors'")
                 market = entry.get("market", "EN-US")
+                if not all(isinstance(v, str) for v in (
+                        entry.get("news"), entry.get("behaviors"), market)):
+                    raise ConfigError("each dataset.paths entry needs 'news' "
+                                      "and 'behaviors'; all values are strings")
                 arts, bad_n = parse_news_tsv(entry["news"], market=market)
                 imps, bad_b = parse_behaviors_tsv(entry["behaviors"])
                 if bad_n or bad_b:
@@ -179,31 +204,16 @@ class DatasetBundle:
                             for i in imps]
         validate_dataset(self.articles, self.impressions)
 
-        split_cfg = ds.get("split", {})
-        policy = split_cfg.get("policy", "time")
-        if policy not in SPLIT_POLICIES:
-            raise ConfigError(f"dataset.split.policy must be one of "
-                              f"{list(SPLIT_POLICIES)}, got {policy!r}")
-        self.splits = split_dataset(
-            self.impressions,
-            test_fraction=split_cfg.get("test_fraction", 1.0 / 6.0),
-            valid_fraction=split_cfg.get("valid_fraction", 0.1),
-            seed=seed, policy=policy,
-            allow_random_fallback=split_cfg.get("allow_random_fallback", False))
-
-        vocab_cfg = ds.get("vocab", {})
+        self.splits = _build("dataset.split section", split_dataset,
+                             self.impressions, seed=seed, **ds.get("split", {}))
         self.vocab = build_vocab((a.title for a in self.articles),
-                                 min_count=vocab_cfg.get("min_count", 1),
-                                 max_size=vocab_cfg.get("max_size", 100000))
+                                 **ds.get("vocab", {}))
         self.user_ids = sorted({i.user_id for i in self.impressions})
 
     def topic_labels(self, table: NewsTokenTable):
         by_id = {a.news_id: a for a in self.articles}
-        labels = []
-        for nid in table.news_ids:
-            a = by_id[nid]
-            labels.append(a.topic_id if a.topic_id is not None else a.category)
-        return labels
+        return [a.topic_id if a.topic_id is not None else a.category
+                for a in (by_id[nid] for nid in table.news_ids)]
 
 
 class Manifest:
@@ -252,15 +262,10 @@ def _pretrain(cfg, bundle, seed, ckpt_path: Path):
                                  mspec.max_title_len, seed=seed)
     seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
             for a in bundle.articles]
-    t = cfg.get("train", {})
-    mask_rate, epochs = t.get("mlm_rate", 0.15), t.get("mlm_epochs", 40)
-    if not 0.0 < mask_rate < 1.0:
-        raise ConfigError(f"train.mlm_rate must be in (0, 1), got {mask_rate}")
-    if epochs < 1:
-        raise ConfigError(f"train.mlm_epochs must be >= 1, got {epochs}")
+    tcfg = train_config_from(cfg, seed)
     out_bias, losses = mlm_pretrain(
-        seqs, encoder, bundle.vocab.size, mask_rate=mask_rate, epochs=epochs,
-        learning_rate=t.get("mlm_learning_rate", 3e-3),
+        seqs, encoder, bundle.vocab.size, mask_rate=tcfg.mlm_rate,
+        epochs=tcfg.mlm_epochs, learning_rate=tcfg.mlm_learning_rate,
         seed=seed)
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, {**encoder.params, "mlm.out_bias": out_bias})
@@ -311,7 +316,7 @@ def _command(name: str, *options):
                 cfg = load_config(config_path)
                 if seed is None:
                     seed = cfg.get("seed", 0)
-                if not isinstance(seed, int) or seed < 0:
+                if seed < 0:
                     raise ConfigError(f"seed must be a non-negative integer, "
                                       f"got {seed!r}")
                 manifest = Manifest(Path(out_dir), cfg)
@@ -440,8 +445,14 @@ def _compare_variants(cfg):
     if axis not in _COMPARE_AXES:
         raise ConfigError(f"unknown compare axis {axis!r}")
     defaults, fields_of = _COMPARE_AXES[axis]
+    variants = cmp_cfg.get("variants", defaults)
+    num_seeds = cmp_cfg.get("num_seeds", 3)
+    if not variants:
+        raise ConfigError("compare.variants must not be empty")
+    if num_seeds < 1:
+        raise ConfigError(f"compare.num_seeds must be >= 1, got {num_seeds}")
     variant_cfgs = []
-    for variant in cmp_cfg.get("variants", defaults):
+    for variant in variants:
         out = json.loads(json.dumps(cfg))  # deep copy
         try:
             news_fields = fields_of(variant)
@@ -452,7 +463,7 @@ def _compare_variants(cfg):
         if "epochs" in cmp_cfg:
             out.setdefault("train", {})["epochs"] = cmp_cfg["epochs"]
         variant_cfgs.append((variant, out))
-    return axis, variant_cfgs, cmp_cfg.get("num_seeds", 3)
+    return axis, variant_cfgs, num_seeds
 
 
 @_command("compare")
@@ -461,7 +472,7 @@ def cmd_compare(cfg, seed, manifest):
     axis, variant_cfgs, num_seeds = _compare_variants(cfg)
     rows = []
     for variant, vcfg in variant_cfgs:
-        metrics = {"auc": [], "mrr": [], "ndcg5": [], "ndcg10": []}
+        metrics = {k: [] for k in evaluation.METRICS}
         pcount = None
         for run_seed in range(seed, seed + num_seeds):
             bundle = DatasetBundle(vcfg, run_seed)

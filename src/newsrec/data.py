@@ -233,40 +233,29 @@ def generate_synthetic(spec: SyntheticSpec):
     out = {}
     for market in spec.markets:
         tag = market.replace("-", "").lower()
+        prefix = "" if len(spec.markets) == 1 else f"{market}:"
         articles = []
         for i in range(n_news):
             title = " ".join(_render_token(tag, k, t, j)
                              for k, t, j in abstract_titles[i])
             articles.append(NewsArticle(
-                news_id=_news_id(market, spec, i), category=f"topic{topics[i]}",
+                news_id=f"{prefix}N{i}", category=f"topic{topics[i]}",
                 subcategory="synthetic", title=title, market=market,
                 topic_id=int(topics[i])))
         impressions = []
         clicked_so_far: dict[int, list[str]] = {u: [] for u in range(n_users)}
         for tick, u, cand, clicked in events:
             ts = (BASE_TIME + timedelta(minutes=int(tick))).isoformat()
-            cand_ids = [_news_id(market, spec, int(c)) for c in cand]
+            cand_ids = [f"{prefix}N{int(c)}" for c in cand]
             impressions.append(Impression(
-                impression_id=_imp_id(market, spec, tick),
-                user_id=_user_id(market, spec, u), timestamp=ts,
+                impression_id=f"{prefix}I{tick}",
+                user_id=f"{prefix}U{u}", timestamp=ts,
                 history=list(clicked_so_far[u]),
                 candidates=[(nid, int(k == clicked))
                             for k, nid in enumerate(cand_ids)]))
             clicked_so_far[u].append(cand_ids[clicked])
         out[market] = (articles, impressions)
     return out
-
-
-def _news_id(market, spec, i):
-    return f"N{i}" if len(spec.markets) == 1 else f"{market}:N{i}"
-
-
-def _user_id(market, spec, u):
-    return f"U{u}" if len(spec.markets) == 1 else f"{market}:U{u}"
-
-
-def _imp_id(market, spec, t):
-    return f"I{t}" if len(spec.markets) == 1 else f"{market}:I{t}"
 
 
 def dataset_summary(articles, impressions) -> dict:

@@ -15,6 +15,9 @@ from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 
+METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
+
+
 class UndefinedMetric(ValueError):
     """The metric is undefined for this impression (e.g. no positives)."""
 
@@ -94,21 +97,15 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def finalize(self):
-        if self.per_impression:
-            self.means = {
-                "auc": float(np.mean([m.auc for m in self.per_impression])),
-                "mrr": float(np.mean([m.mrr for m in self.per_impression])),
-                "ndcg5": float(np.mean([m.ndcg5 for m in self.per_impression])),
-                "ndcg10": float(np.mean([m.ndcg10 for m in self.per_impression])),
-            }
-        else:
-            self.means = {k: float("nan") for k in ("auc", "mrr", "ndcg5", "ndcg10")}
+        rows = self.per_impression
+        self.means = {k: float(np.mean([getattr(m, k) for m in rows]))
+                      if rows else float("nan") for k in METRICS}
         return self
 
     def to_json(self) -> str:
         histograms = {}
         edges = np.linspace(0.0, 1.0, 21)
-        for key in ("auc", "mrr", "ndcg5", "ndcg10"):
+        for key in METRICS:
             vals = [getattr(m, key) for m in self.per_impression]
             counts, _ = np.histogram(vals, bins=edges)
             histograms[key] = counts.tolist()

@@ -93,9 +93,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, check: bool = True):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if check and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericalError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = requires_grad

@@ -38,13 +38,20 @@ class TrainConfig:
     negatives_k: int = 4
     epochs: int = 5
     seed: int = 0
+    # masking rate, epochs and learning rate of MLM pretraining
+    mlm_rate: float = 0.15
+    mlm_epochs: int = 40
+    mlm_learning_rate: float = 3e-3
 
     def __post_init__(self):
-        for name in ("batch_size", "shards", "negatives_k", "epochs"):
+        for name in ("batch_size", "shards", "negatives_k", "epochs",
+                     "mlm_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size % self.shards != 0:
             raise ValueError("batch_size must be divisible by shards")
+        if not 0.0 < self.mlm_rate < 1.0:
+            raise ValueError("mlm_rate must be in (0, 1)")
 
 
 def build_training_samples(impressions: list[Impression], k: int, seed: int,
@@ -133,15 +140,10 @@ class _RowSample:
 
 def _row_samples(model: Recommender, table: NewsTokenTable,
                  samples: list[TrainingSample]) -> list[_RowSample]:
-    out = []
-    for s in samples:
-        out.append(_RowSample(
-            history_rows=np.asarray([table.index[n] for n in s.history],
-                                    dtype=np.int64),
-            candidate_rows=np.asarray([table.index[n] for n in s.candidate_ids],
-                                      dtype=np.int64),
-            label=s.label, user_idx=model.user_idx(s.user_id)))
-    return out
+    def rows(news_ids):
+        return np.asarray([table.index[n] for n in news_ids], dtype=np.int64)
+    return [_RowSample(rows(s.history), rows(s.candidate_ids), s.label,
+                       model.user_idx(s.user_id)) for s in samples]
 
 
 def batch_loss(model: Recommender, table: NewsTokenTable,

@@ -1,7 +1,9 @@
 """End-to-end command-line tests over tiny synthetic configurations."""
 
 import hashlib
+import inspect
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 from newsrec.cli import main
+from newsrec.data import SyntheticSpec, split_dataset
+from newsrec.encoders import NewsEncoderSpec
+from newsrec.model import ModelSpec
+from newsrec.text import build_vocab
+from newsrec.training import TrainConfig
+from newsrec.users import UserEncoderSpec
 
 BASE_CONFIG = {
     "seed": 11,
@@ -117,10 +125,11 @@ class TestConfigValidation:
         ("pretrain", {"model.news_encoder.kind": "mini_plm",
                       "train.mlm_epochs": 0}),
         ("train", {"dataset": {"paths": [{"behaviors": "behaviors.tsv"}]}}),
-        ("train", {"seed": -1})],
+        ("train", {"seed": -1}),
+        ("train", {"train.mlm_rate": 1.5})],
         ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
              "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
-             "seed"])
+             "seed", "mlm_rate_under_train"])
     def test_out_of_range_value_is_config_error(self, runner, tmp_path,
                                                 command, overrides):
         cfg = _write_config(tmp_path, overrides)
@@ -130,6 +139,47 @@ class TestConfigValidation:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("config error: ")
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("train", {"dataset": 5}),
+        ("train", {"model": []}),
+        ("train", {"train": "x"}),
+        ("train", {"train.learning_rate": "x"}),
+        ("train", {"train.batch_size": 16.0}),
+        ("train", {"train.epochs": True}),
+        ("train", {"model.history_cap": 2.5}),
+        ("gen-data", {"dataset.synthetic.num_users": 1.5}),
+        ("gen-data", {"dataset.synthetic.markets": ["EN-US", 3]}),
+        ("train", {"dataset.split.test_fraction": "x"}),
+        ("train", {"dataset.vocab.min_count": "x"}),
+        ("evaluate", {"eval.split": ["test"]}),
+        ("train", {"seed": True}),
+        ("train", {"dataset": {"paths": [5]}}),
+        ("train", {"dataset.markets_filter": "EN-US"}),
+        ("compare", {"compare": {"axis": "pooling", "variants": []}}),
+        ("compare", {"compare": {"axis": "pooling", "num_seeds": 0}}),
+        ("compare", {"compare": {"axis": "pooling", "num_seeds": "x"}})],
+        ids=["dataset", "model", "train", "learning_rate", "batch_size",
+             "epochs_bool", "history_cap", "num_users", "markets",
+             "test_fraction", "min_count", "eval_split", "seed_bool",
+             "paths_entry", "markets_filter", "no_variants", "zero_seeds",
+             "num_seeds"])
+    def test_wrong_json_type_is_config_error(self, runner, tmp_path, command,
+                                             overrides):
+        cfg = _write_config(tmp_path, overrides)
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: ")
+        assert result.output.count("\n") == 1
+
+    def test_int_is_accepted_where_float_is_expected(self, runner, tmp_path):
+        cfg = _write_config(tmp_path,
+                            {"dataset.synthetic.click_temperature": 1})
+        result = runner.invoke(main, ["gen-data", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 0, result.output
 
     def test_eval_metrics_key_is_unknown(self, runner, tmp_path):
         cfg = _write_config(tmp_path, {"eval": {"metrics": ["auc"]}})
@@ -146,6 +196,48 @@ class TestConfigValidation:
         path.write_text(json.dumps(cfg))
         result = runner.invoke(main, ["evaluate", "--config", str(path)])
         assert result.exit_code == 3
+
+
+def _spec_keys():
+    """(config key, default) for every spec field and keyword parameter that
+    a config section sets."""
+    specs = [("model.news_encoder", NewsEncoderSpec(), ()),
+             ("model.user_encoder", UserEncoderSpec(), ("user_table_size",)),
+             ("train", TrainConfig(), ("seed",)),
+             ("dataset.synthetic", SyntheticSpec(), ()),
+             ("model", ModelSpec(), ("news", "user"))]
+    keys = [(f"{section}.{f.name}", getattr(spec, f.name))
+            for section, spec, supplied in specs
+            for f in fields(spec) if f.name not in supplied]
+    for section, fn in (("dataset.split", split_dataset),
+                        ("dataset.vocab", build_vocab)):
+        keys += [(f"{section}.{name}", p.default)
+                 for name, p in inspect.signature(fn).parameters.items()
+                 if p.default is not p.empty and name != "seed"]
+    return keys
+
+
+SPEC_KEYS = _spec_keys()
+
+
+@pytest.mark.parametrize("key,default", SPEC_KEYS,
+                         ids=[k for k, _ in SPEC_KEYS])
+def test_every_spec_key_is_read_and_type_checked(runner, tmp_path, key,
+                                                 default):
+    """The CLI accepts each spec-backed key at its default and rejects a
+    JSON object in its place with one line naming the key."""
+    ok = _write_config(tmp_path, {key: default})
+    result = runner.invoke(main, ["gen-data", "--config", str(ok),
+                                  "--out", str(tmp_path / "ok")])
+    assert result.exit_code == 0, result.output
+
+    bad = _write_config(tmp_path, {key: {}})
+    result = runner.invoke(main, ["gen-data", "--config", str(bad),
+                                  "--out", str(tmp_path / "bad")])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: ")
+    assert result.output.count("\n") == 1
+    assert key in result.output
 
 
 class TestGenData:
