@@ -206,8 +206,9 @@ class DatasetBundle:
 
         self.splits = _build("dataset.split section", split_dataset,
                              self.impressions, seed=seed, **ds.get("split", {}))
-        self.vocab = build_vocab((a.title for a in self.articles),
-                                 **ds.get("vocab", {}))
+        self.vocab = _build("dataset.vocab section", build_vocab,
+                            (a.title for a in self.articles),
+                            **ds.get("vocab", {}))
         self.user_ids = sorted({i.user_id for i in self.impressions})
 
     def topic_labels(self, table: NewsTokenTable):

@@ -295,9 +295,15 @@ def split_dataset(impressions: list[Impression], test_fraction: float = 1.0 / 6.
     Time policy: the latest ``test_fraction`` of the observed time range is
     test; the remainder splits 9:1 into train/valid with a seeded shuffle.
     A degenerate time axis errors unless ``allow_random_fallback`` is set.
+    Both fractions must lie in (0, 1): a fraction of 0 leaves its
+    partition empty.
     """
     if policy not in SPLIT_POLICIES:
         raise ValueError(f"unknown split policy {policy!r}")
+    for name, fraction in (("test_fraction", test_fraction),
+                           ("valid_fraction", valid_fraction)):
+        if not 0.0 < fraction < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {fraction}")
     if not impressions:
         raise DataError("cannot split an empty impression list")
     if policy == "time":

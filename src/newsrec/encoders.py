@@ -3,9 +3,11 @@ them into a single news embedding.
 
 Three encoder families are provided: a 1-D convolutional encoder, a single
 multi-head self-attention layer, and a depth-parameterized pre-norm
-transformer ("mini PLM") with learned position embeddings.  Pooling modes:
-CLS (row 0), AVERAGE (mean over real non-CLS tokens), ATTENTION (additive
-attention over all real tokens including CLS).
+transformer ("mini PLM") with learned position embeddings.  The last two
+run their per-token layers on the real tokens only, packed as (R, d) rows,
+and scatter the result into a (B, M, d) output that is zero at PAD
+positions.  Pooling modes: CLS (row 0), AVERAGE (mean over real non-CLS
+tokens), ATTENTION (additive attention over all real tokens including CLS).
 """
 
 from __future__ import annotations
@@ -85,12 +87,18 @@ def key_mask_bias(mask: np.ndarray) -> np.ndarray:
     return ((mask.astype(np.float64) - 1.0) * NEG_BIAS)[:, None, None, :]
 
 
-def multi_head_attention(x: Tensor, mask: np.ndarray, params: dict, prefix: str,
-                         num_heads: int) -> Tensor:
-    """Self-attention over (B, M, d) states with padded keys masked out."""
+def multi_head_attention(x: Tensor, rows: np.ndarray, mask: np.ndarray,
+                         params: dict, prefix: str, num_heads: int) -> Tensor:
+    """Self-attention over the (R, d) rows of ``x``, which sit at flat
+    positions ``rows`` of the (B, M) ``mask``; padded keys are masked out."""
     p = [params[prefix + name] for name in ("wq", "bq", "wk", "bk", "wv", "bv",
                                             "wo", "bo")]
-    return T.attention(x, key_mask_bias(mask), *p, num_heads)
+    return T.attention(x, rows, key_mask_bias(mask), *p, num_heads)
+
+
+def real_rows(mask: np.ndarray) -> np.ndarray:
+    """Flat positions (``b * M + m``) of the real tokens of a (B, M) mask."""
+    return np.flatnonzero(mask.reshape(-1))
 
 
 def _attn_params(rng, d: int, prefix: str) -> dict:
@@ -172,7 +180,8 @@ class CnnNewsEncoder(NewsEncoderBase):
 
 
 class SelfAttnNewsEncoder(NewsEncoderBase):
-    """Word embeddings -> one multi-head self-attention layer."""
+    """Word embeddings -> one multi-head self-attention layer, over the real
+    tokens only; PAD positions of the output are 0."""
 
     def _build(self, rng):
         d = self.spec.d_model
@@ -180,14 +189,25 @@ class SelfAttnNewsEncoder(NewsEncoderBase):
         self.params.update(_attn_params(rng, d, "attn."))
 
     def forward(self, ids, mask, rng=None):
-        x = T.embedding_lookup(self.params["token_emb"], ids)
+        rows = real_rows(mask)
+        x = T.embedding_lookup(self.params["token_emb"], ids.reshape(-1)[rows])
         x = self._dropout(x, rng)
-        return multi_head_attention(x, mask, self.params, "attn.",
-                                    self.spec.num_heads)
+        x = multi_head_attention(x, rows, mask, self.params, "attn.",
+                                 self.spec.num_heads)
+        return T.scatter_rows(x, rows, ids.shape)
 
 
 class MiniPlmEncoder(NewsEncoderBase):
-    """Depth-parameterized pre-norm transformer with learned positions."""
+    """Depth-parameterized pre-norm transformer with learned positions.
+
+    The hidden state is a packed (R, d) matrix of the batch's real tokens
+    from the embeddings to the final layer norm: token and position
+    embeddings are gathered at the real ids and columns, and the layer
+    norms, the FFN, the residual adds and dropout (one mask per real token)
+    run on those R rows.  ``tensor.attention`` takes the same rows.  The
+    final rows are scattered into a (B, M, d) output that is exactly 0 at
+    PAD positions.
+    """
 
     def _build(self, rng):
         d = self.spec.d_model
@@ -213,20 +233,22 @@ class MiniPlmEncoder(NewsEncoderBase):
             raise T.ShapeError(f"sequence length {M} exceeds position table "
                                f"{self.max_len}")
         p = self.params
-        pos = T.narrow(p["pos_emb"], 0, 0, M)
-        h = T.embedding_lookup(p["token_emb"], ids) + pos
+        rows = real_rows(mask)
+        h = (T.embedding_lookup(p["token_emb"], ids.reshape(-1)[rows])
+             + T.embedding_lookup(p["pos_emb"], rows % M))
         h = self._dropout(h, rng)
         for l in range(self.spec.depth):
             pre = f"block{l}."
             a = T.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
             h = h + self._dropout(
-                multi_head_attention(a, mask, p, pre + "attn.",
+                multi_head_attention(a, rows, mask, p, pre + "attn.",
                                      self.spec.num_heads), rng)
             f = T.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-            ff = T.gelu(f @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"]) @ p[pre + "ffn.w2"] \
-                + p[pre + "ffn.b2"]
+            ff = T.matmul(T.gelu(T.matmul(f, p[pre + "ffn.w1"], p[pre + "ffn.b1"])),
+                          p[pre + "ffn.w2"], p[pre + "ffn.b2"])
             h = h + self._dropout(ff, rng)
-        return T.layer_norm(h, p["final_ln.gain"], p["final_ln.bias"])
+        h = T.layer_norm(h, p["final_ln.gain"], p["final_ln.bias"])
+        return T.scatter_rows(h, rows, ids.shape)
 
 
 _ENCODER_CLASSES = {CNN: CnnNewsEncoder, SELF_ATTN: SelfAttnNewsEncoder,
@@ -245,14 +267,18 @@ def additive_attention(states: Tensor, mask: np.ndarray, w: Tensor, b: Tensor,
     states: (B, M, d); mask: (B, M); returns (B, d).
     """
     B, M, d = states.shape
-    proj = T.tanh(states @ w + b)
+    proj = T.tanh(T.matmul(states, w, b))
     scores = T.reshape(proj @ q, (B, M))
     weights = T.softmax(scores + (mask.astype(np.float64) - 1.0) * NEG_BIAS, axis=-1)
     return T.reshape(T.reshape(weights, (B, 1, M)) @ states, (B, d))
 
 
 def pool_batch(states: Tensor, mask: np.ndarray, mode: str, params: dict) -> Tensor:
-    """(B, M, d) hidden states -> (B, d) news embeddings."""
+    """(B, M, d) hidden states -> (B, d) news embeddings.
+
+    Only the real positions of ``mask`` contribute, whatever ``states``
+    holds at PAD positions (0 for the self-attention and mini-PLM encoders).
+    """
     B, M, d = states.shape
     m = mask.astype(np.float64)
     if not np.all(m.sum(axis=-1) >= 1):

@@ -39,6 +39,7 @@ __all__ = [
     "sigmoid",
     "gru_scan",
     "attention",
+    "scatter_rows",
     "reduce_sum",
     "reshape",
     "permute",
@@ -268,22 +269,32 @@ def mul(a, b) -> Tensor:
     return _record((a, b), out, bwd)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, or ``a @ b + bias`` as one tape entry for a 2-D ``b``."""
     ad, bd = _data(a), _data(b)
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError("matmul operands must have rank >= 2")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {ad.shape} @ {bd.shape}")
-    if bd.ndim == 2 and ad.ndim > 2:
-        # a weight product: one GEMM over every leading row, not one per slice
+    if bd.ndim == 2:
+        # a weight product: one GEMM over every leading row, not one per
+        # slice; the bias is added in place and rounds as a separate add
         a2 = ad.reshape(-1, ad.shape[-1])
-        out = Tensor._make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[-1:]))
+        y = a2 @ bd
+        if bias is not None:
+            y += _data(bias)
+        out = Tensor._make(y.reshape(ad.shape[:-1] + bd.shape[-1:]))
 
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ bd.T).reshape(ad.shape), a2.T @ g2)
+            grads = ((g2 @ bd.T).reshape(ad.shape), a2.T @ g2)
+            if bias is None:
+                return grads
+            return grads + (_unbroadcast(g, _data(bias).shape),)
 
-        return _record((a, b), out, bwd)
+        return _record((a, b) if bias is None else (a, b, bias), out, bwd)
+    if bias is not None:
+        raise ShapeError("matmul takes a bias only with a 2-D right operand")
 
     out = Tensor._make(ad @ bd)
 
@@ -433,55 +444,73 @@ def gru_scan(hist, mask, h0, w, u, b) -> Tensor:
     return _record((hist, h0, *w, *u, *b), out, bwd)
 
 
-def attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads: int) -> Tensor:
-    """Multi-head self-attention over the (B, M, d) rows of ``x``; one tape entry.
+def attention(x, rows, key_bias, wq, bq, wk, bk, wv, bv, wo, bo,
+              num_heads: int) -> Tensor:
+    """Multi-head self-attention over packed token rows; one tape entry.
 
-    ``key_bias`` is an additive logit bias broadcast to (B, h, M, M), e.g.
-    (B, 1, 1, M) with a large negative value for each padded key.  Per
-    head, with q, k, v the head's slices of ``x Wq + bq`` and so on:
+    ``x`` is (R, d): the tokens of a (B, M) batch that take part, row ``i``
+    at flat position ``rows[i]`` (``b * M + m``) of that batch.
+    ``key_bias`` is the (B, 1, 1, M) additive logit bias of the keys, e.g.
+    a large negative value at each padded key.  Per head, with q, k, v the
+    head's slices of ``x Wq + bq`` and so on:
 
         ctx = softmax(q k^T / sqrt(d / h) + key_bias) v,  out = ctx Wo + bo
 
-    Q, K and V come from one (B·M, d) @ (d, 3d) GEMM, the heads are strided
-    views of its output, and scale, bias and softmax run in place on the
-    logits; the heads' contexts are written straight into (B, M, d) layout.
+    The projections are GEMMs over the R rows (Q, K and V from one
+    (R, d) @ (d, 3d) product).  Only the softmax core uses the (B, h, M, M)
+    layout, with q, k and v zero at positions not in ``rows``; the heads are
+    strided views, and scale, bias and softmax run in place on the logits.
     Backward is hand-written: the q, k and v head gradients land in one
-    (B, M, 3d) buffer, so the input, the packed weights and the packed
-    biases each take one GEMM or one sum.
+    (B, M, 3d) buffer whose ``rows`` are gathered back, so the input, the
+    packed weights and the packed biases each take one GEMM or one sum over
+    the R rows.
     """
     xd = _data(x)
-    B, M, d = xd.shape
+    if xd.ndim != 2:
+        raise ShapeError(f"attention takes (R, d) rows, got shape {xd.shape}")
+    R, d = xd.shape
+    B, M = key_bias.shape[0], key_bias.shape[-1]
     if num_heads < 1 or d % num_heads:
         raise ShapeError(f"{num_heads} heads do not divide d_model {d}")
     if M == 0:
         raise ShapeError("attention over an empty sequence")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape != (R,):
+        raise ShapeError(f"{rows.shape} row positions for {R} rows")
     dk = d // num_heads
     scale = 1.0 / np.sqrt(dk)
-    x2 = xd.reshape(B * M, d)
     w_qkv = np.concatenate([_data(wq), _data(wk), _data(wv)], axis=1)
     wod = _data(wo)
-    qkv = x2 @ w_qkv
-    qkv += np.concatenate([_data(bq), _data(bk), _data(bv)])
-    # (3, B, h, M, dk) views: head j of q is qkv[b, m, j*dk:(j+1)*dk]
+    qkv_rows = xd @ w_qkv
+    qkv_rows += np.concatenate([_data(bq), _data(bk), _data(bv)])
+    qkv = np.zeros((B * M, 3 * d))
+    qkv[rows] = qkv_rows
+    # (3, B, h, M, dk) views: head j of q is qkv[b * M + m, j*dk:(j+1)*dk]
     q, k, v = qkv.reshape(B, M, 3, num_heads, dk).transpose(2, 0, 3, 1, 4)
     att = q @ np.swapaxes(k, -1, -2)
     att *= scale
     att += key_bias
-    att -= att.max(axis=-1, keepdims=True)
+    # each row's max as M elementwise maxima over the key axis: the value of
+    # att.max(axis=-1), without numpy's per-row loop over short rows
+    row_max = att[..., 0].copy()
+    for j in range(1, M):
+        np.maximum(row_max, att[..., j], out=row_max)
+    att -= row_max[..., None]
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = np.empty((B, M, d))
+    ctx = np.empty((B * M, d))
     np.matmul(att, v, out=ctx.reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3))
-    ctx2 = ctx.reshape(B * M, d)
-    y = ctx2 @ wod
+    ctx = ctx[rows]
+    y = ctx @ wod
     y += _data(bo)
-    out = Tensor._make(y.reshape(B, M, d))
+    out = Tensor._make(y)
 
     def bwd(g):
-        g2 = g.reshape(B * M, d)
-        g_ctx = (g2 @ wod.T).reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((B, M, 3, num_heads, dk))
-        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        g_ctx = np.zeros((B * M, d))
+        g_ctx[rows] = g @ wod.T
+        g_ctx = g_ctx.reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((B * M, 3 * d))
+        gq, gk, gv = g_qkv.reshape(B, M, 3, num_heads, dk).transpose(2, 0, 3, 1, 4)
         np.matmul(np.swapaxes(att, -1, -2), g_ctx, out=gv)
         # softmax Jacobian in place: att * (g_att - sum(g_att * att)), scaled
         g_att = g_ctx @ np.swapaxes(v, -1, -2)
@@ -490,13 +519,28 @@ def attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads: int) -> Te
         g_att *= scale
         np.matmul(g_att, k, out=gq)
         np.matmul(np.swapaxes(g_att, -1, -2), q, out=gk)
-        g3 = g_qkv.reshape(B * M, 3 * d)
-        g_w = np.split(x2.T @ g3, 3, axis=1)
+        g3 = g_qkv[rows]
+        g_w = np.split(xd.T @ g3, 3, axis=1)
         g_b = np.split(g3.sum(axis=0), 3)
-        return ((g3 @ w_qkv.T).reshape(B, M, d), g_w[0], g_b[0], g_w[1], g_b[1],
-                g_w[2], g_b[2], ctx2.T @ g2, g2.sum(axis=0))
+        return (g3 @ w_qkv.T, g_w[0], g_b[0], g_w[1], g_b[1], g_w[2], g_b[2],
+                ctx.T @ g, g.sum(axis=0))
 
     return _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bwd)
+
+
+def scatter_rows(x, rows, shape) -> Tensor:
+    """The (R, d) rows of ``x`` placed at flat positions ``rows`` of a zero
+    ``shape + (d,)`` array; backward gathers those rows of the gradient."""
+    xd = _data(x)
+    n, d = math.prod(shape), xd.shape[-1]
+    full = np.zeros((n, d))
+    full[rows] = xd
+    out = Tensor._make(full.reshape(*shape, d))
+
+    def bwd(g):
+        return (g.reshape(n, d)[rows],)
+
+    return _record((x,), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
 from .fileio import atomic_open
 
 PAD_ID = 0
@@ -79,19 +80,26 @@ def build_vocab(corpus, min_count: int = 1, max_size: int = 100000) -> Vocabular
 
     Tokens with frequency >= min_count are kept, most frequent first with
     lexicographic tie-breaking, capped at max_size including the reserved
-    entries.
+    entries.  Raises DataError if no corpus token is kept.
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    if max_size <= len(RESERVED):
+        raise ValueError(f"max_size must exceed the {len(RESERVED)} reserved "
+                         f"entries, got {max_size}")
     counts: Counter[str] = Counter()
     empty = True
     for title in corpus:
         empty = False
         counts.update(split_words(title))
     if empty:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
+        raise DataError("cannot build a vocabulary from an empty corpus")
     kept = [(tok, c) for tok, c in counts.items() if c >= min_count]
+    if not kept:
+        raise DataError(f"no corpus token occurs at least min_count="
+                        f"{min_count} times")
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
-    room = max(0, max_size - len(RESERVED))
-    return Vocabulary([tok for tok, _ in kept[:room]])
+    return Vocabulary([tok for tok, _ in kept[:max_size - len(RESERVED)]])
 
 
 def tokenize(title: str, vocab: Vocabulary, max_len: int) -> TokenSequence:

@@ -272,9 +272,10 @@ def train(model: Recommender, table: NewsTokenTable,
 
 
 def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
-                 mask_rate: float = 0.15, epochs: int = 5,
-                 learning_rate: float = 1e-3, batch_size: int = 32,
-                 seed: int = 0):
+                 mask_rate: float = TrainConfig.mlm_rate,
+                 epochs: int = TrainConfig.mlm_epochs,
+                 learning_rate: float = TrainConfig.mlm_learning_rate,
+                 batch_size: int = 32, seed: int = 0):
     """Masked-token prediction with a tied-embedding output layer.
 
     Corrupted positions are predicted from the encoder's hidden states via
@@ -328,7 +329,7 @@ def _masked_lm_loss(states: Tensor, rows: np.ndarray, targets: np.ndarray,
     """
     B, M, d = states.shape
     hidden = T.embedding_lookup(T.reshape(states, (B * M, d)), rows)
-    logits = hidden @ T.transpose_last(token_emb) + out_bias
+    logits = T.matmul(hidden, T.transpose_last(token_emb), out_bias)
     return listwise_loss(logits, targets)
 
 

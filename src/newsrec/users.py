@@ -130,7 +130,8 @@ class NpaUserEncoder(UserEncoderBase):
             user_idx = np.full(B, FALLBACK_USER_INDEX, dtype=np.int64)
         e_user = T.embedding_lookup(self.params["user_emb"], user_idx)
         q = T.tanh(e_user @ self.params["query.w"])
-        proj = T.tanh(hist @ self.params["attn.w"] + self.params["attn.b"])
+        proj = T.tanh(T.matmul(hist, self.params["attn.w"],
+                               self.params["attn.b"]))
         scores = T.reduce_sum(proj * T.reshape(q, (B, 1, d)), axis=-1)
         weights = T.softmax(scores + (mask.astype(np.float64) - 1.0) * NEG_BIAS,
                             axis=-1)
@@ -165,8 +166,13 @@ class NrmsUserEncoder(UserEncoderBase):
 
     def forward(self, hist, mask, user_idx=None):
         hist, mask = _at_least_one_slot(hist, mask)
-        ctx = multi_head_attention(hist, mask, self.params, "selfattn.",
-                                   self.spec.num_heads)
+        B, Tlen, d = hist.shape
+        # every slot is a row, so a row with no real click attends evenly
+        # over its zero slots and still gets a finite context
+        ctx = multi_head_attention(T.reshape(hist, (B * Tlen, d)),
+                                   np.arange(B * Tlen), mask, self.params,
+                                   "selfattn.", self.spec.num_heads)
+        ctx = T.reshape(ctx, (B, Tlen, d))
         return additive_attention(ctx, mask, self.params["attn.w"],
                                   self.params["attn.b"], self.params["attn.q"])
 

@@ -126,10 +126,18 @@ class TestConfigValidation:
                       "train.mlm_epochs": 0}),
         ("train", {"dataset": {"paths": [{"behaviors": "behaviors.tsv"}]}}),
         ("train", {"seed": -1}),
-        ("train", {"train.mlm_rate": 1.5})],
+        ("train", {"train.mlm_rate": 1.5}),
+        ("train", {"dataset.split.test_fraction": 2}),
+        ("train", {"dataset.split.test_fraction": 0}),
+        ("train", {"dataset.split.valid_fraction": 1.0}),
+        ("train", {"dataset.vocab.max_size": 0}),
+        ("train", {"dataset.vocab.max_size": -3}),
+        ("train", {"dataset.vocab.min_count": 0})],
         ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
              "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
-             "seed", "mlm_rate_under_train"])
+             "seed", "mlm_rate_under_train", "test_fraction_2",
+             "test_fraction_0", "valid_fraction_1", "max_size_0",
+             "max_size_negative", "min_count_0"])
     def test_out_of_range_value_is_config_error(self, runner, tmp_path,
                                                 command, overrides):
         cfg = _write_config(tmp_path, overrides)
@@ -187,6 +195,14 @@ class TestConfigValidation:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "unknown key(s) ['metrics'] in eval" in result.output
+
+    def test_vocab_keeping_no_token_is_data_error(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"dataset.vocab.min_count": 10**6})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("data error: no corpus token")
+        assert result.output.count("\n") == 1
 
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [

@@ -3,6 +3,7 @@ parameter counts."""
 
 import numpy as np
 import pytest
+from dense_oracles import dense_mini_plm_forward, dense_self_attn_forward
 
 from newsrec import tensor as T
 from newsrec.encoders import (CNN, MINI_PLM, POOL_MODES, SELF_ATTN,
@@ -137,6 +138,70 @@ class TestMiniPlmEncoder:
         outs = [build_news_encoder(_spec(MINI_PLM), VOCAB, M, seed=7)
                 .embed(ids, mask).data for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
+
+
+def _ragged_batch(rng, lengths, m=M):
+    """Titles of the given real lengths (CLS included), PAD after them."""
+    lengths = np.asarray(lengths)
+    ids = rng.integers(4, VOCAB, size=(len(lengths), m))
+    ids[:, 0] = 2
+    mask = (np.arange(m)[None, :] < lengths[:, None]).astype(np.float64)
+    ids[mask == 0.0] = 0
+    return ids, mask
+
+
+# a CLS-only title, a full-width title, B = 1, and mixed batches
+RAGGED = [[1], [M], [5], [1, M, 3, 5, 2], [M, M, M], [2, 7, 1, 8, 4, 6, 3, 1]]
+
+
+class TestPackedRows:
+    """The packed forward passes against the dense-layout oracles: the same
+    outputs at real positions and the same parameter gradients."""
+
+    @pytest.mark.parametrize("kind,oracle", [
+        (MINI_PLM, dense_mini_plm_forward), (SELF_ATTN, dense_self_attn_forward)])
+    @pytest.mark.parametrize("lengths", RAGGED)
+    def test_matches_dense_oracle(self, kind, oracle, lengths):
+        enc = build_news_encoder(_spec(kind, depth=3), VOCAB, M, seed=len(lengths))
+        rng = np.random.default_rng(sum(lengths))
+        ids, mask = _ragged_batch(rng, lengths)
+        # weight only real positions: PAD outputs differ by design
+        upstream = rng.normal(size=(len(lengths), M, 16)) * mask[..., None]
+        results = []
+        for forward in (enc.forward, lambda i, m: oracle(enc, i, m)):
+            with ComputationTape() as tape:
+                out = forward(ids, mask)
+                grads = tape.backward(T.reduce_sum(out * upstream), enc.params)
+            results.append((out.data, grads))
+        (out, grads), (ref, ref_grads) = results
+        real = mask == 1.0
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out[real] - ref[real])) < 1e-12
+        for name, ref_g in ref_grads.items():
+            assert np.max(np.abs(grads[name] - ref_g)) < 1e-12, name
+
+    @pytest.mark.parametrize("kind", (MINI_PLM, SELF_ATTN))
+    @pytest.mark.parametrize("dropout", (0.0, 0.3))
+    def test_pad_positions_are_exactly_zero(self, kind, dropout):
+        enc = build_news_encoder(_spec(kind, dropout=dropout), VOCAB, M, seed=9)
+        ids, mask = _ragged_batch(np.random.default_rng(9), [1, M, 3, 6])
+        out = enc.forward(ids, mask, rng=np.random.default_rng(0)).data
+        assert np.all(out[mask == 0.0] == 0.0)
+        assert np.all(np.any(out[mask == 1.0] != 0.0, axis=-1))
+
+    def test_dropout_draws_one_mask_per_real_token_and_reruns_bitwise(self):
+        enc = build_news_encoder(_spec(MINI_PLM, dropout=0.5), VOCAB, M + 4,
+                                 seed=10)
+        ids, mask = _ragged_batch(np.random.default_rng(10), [2, M, 5])
+        runs = [enc.forward(ids, mask, rng=np.random.default_rng(4)).data
+                for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
+        assert not np.array_equal(enc.forward(ids, mask).data, runs[0])
+        # PAD columns take no draws, so real tokens keep their dropout masks
+        wide = enc.forward(np.pad(ids, ((0, 0), (0, 4))),
+                           np.pad(mask, ((0, 0), (0, 4))),
+                           rng=np.random.default_rng(4)).data
+        assert np.max(np.abs(wide[:, :M] - runs[0])) < 1e-12
 
 
 class TestPaddingInvariance:

@@ -58,6 +58,29 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+    def test_bias_rounds_as_a_separate_add(self, shape):
+        rng = np.random.default_rng(9)
+        params = {"a": Tensor(rng.normal(size=shape), requires_grad=True),
+                  "w": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=3), requires_grad=True)}
+        g = rng.normal(size=shape[:-1] + (3,))
+        results = []
+        for fn in (lambda a, w, b: T.matmul(a, w, b), lambda a, w, b: a @ w + b):
+            with ComputationTape() as tape:
+                out = fn(*params.values())
+                grads = tape.backward(T.reduce_sum(out * g), params)
+                results.append((out.data, grads, len(tape.entries)))
+        (out, grads, n), (ref, ref_grads, ref_n) = results
+        assert np.array_equal(out, ref)
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in params)
+        assert n == ref_n - 1  # the bias add is part of the product's entry
+
+    def test_bias_needs_a_2d_right_operand(self):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))),
+                     Tensor(np.ones(5)))
+
     @pytest.mark.parametrize("lead", [(3,), (2, 3)])
     def test_weight_product_equals_per_slice_products(self, lead):
         rng = np.random.default_rng(5)
@@ -505,7 +528,8 @@ def _attention_case(rng, B, M, d, empty_row=True):
     """Random inputs and a random key mask in which one row's only real key
     is CLS (column 0) and, with B > 1 and ``empty_row``, one row has no real
     key at all (its logits round to the bias, so finite differences see a
-    constant there)."""
+    constant there).  Returns the (B, M, d) states, the mask, the key bias
+    and the eight projection tensors."""
     x = Tensor(rng.normal(size=(B, M, d)), requires_grad=True)
     weights = [Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
                for _ in range(4) for shape in ((d, d), (d,))]
@@ -515,11 +539,18 @@ def _attention_case(rng, B, M, d, empty_row=True):
     if B > 1 and empty_row:
         mask[-1] = 0.0
     key_bias = ((mask - 1.0) * 1e30)[:, None, None, :]
-    return x, key_bias, weights
+    return x, mask, key_bias, weights
+
+
+def _rows_of(x, rows):
+    """The (R, d) rows of (B, M, d) states at flat positions ``rows``."""
+    B, M, d = x.shape
+    return Tensor(x.data.reshape(B * M, d)[rows], requires_grad=True)
 
 
 class TestAttention:
-    """``tensor.attention`` against the composite expression it replaces."""
+    """Packed ``tensor.attention`` against the composite (B, M, d) expression
+    it fuses, at the rows it is given."""
 
     @pytest.mark.parametrize("B,M,d,heads", [
         (4, 7, 8, 1), (4, 7, 8, 2), (3, 9, 16, 4), (1, 5, 8, 4), (3, 1, 8, 2),
@@ -527,32 +558,44 @@ class TestAttention:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_composite_oracle(self, B, M, d, heads, seed):
         rng = np.random.default_rng(seed)
-        x, key_bias, weights = _attention_case(rng, B, M, d)
-        upstream = rng.normal(size=(B, M, d))
-        inputs = dict(enumerate([x, *weights]))
-        results = []
-        for op in (T.attention, _composite_attention):
+        x, mask, key_bias, weights = _attention_case(rng, B, M, d)
+        upstream = rng.normal(size=(B * M, d))
+        # every slot as a row (an all-masked row attends evenly), and the
+        # real slots only (nothing flows through a PAD slot)
+        for rows in (np.arange(B * M), np.flatnonzero(mask)):
+            taken = np.zeros((B * M, 1))
+            taken[rows] = 1.0
             with ComputationTape() as tape:
-                out = op(x, key_bias, *weights, heads)
-                grads = tape.backward(T.reduce_sum(out * upstream), inputs)
-            results.append((out.data, list(grads.values())))
-        (out, grads), (ref, ref_grads) = results
-        assert np.max(np.abs(out - ref)) < 1e-12
-        assert len(grads) == 9
-        for g, ref_g in zip(grads, ref_grads):
-            assert g.shape == ref_g.shape
-            assert np.max(np.abs(g - ref_g)) < 1e-12
+                ref = _composite_attention(x, key_bias, *weights, heads)
+                ref_grads = tape.backward(
+                    T.reduce_sum(ref * (upstream * taken).reshape(B, M, d)),
+                    dict(enumerate([x, *weights])))
+            xr = _rows_of(x, rows)
+            with ComputationTape() as tape:
+                out = T.attention(xr, rows, key_bias, *weights, heads)
+                grads = tape.backward(T.reduce_sum(out * upstream[rows]),
+                                      dict(enumerate([xr, *weights])))
+            assert out.shape == (len(rows), d)
+            assert np.max(np.abs(out.data - ref.data.reshape(B * M, d)[rows]),
+                          initial=0.0) < 1e-12
+            ref_grads[0] = ref_grads[0].reshape(B * M, d)[rows]
+            assert len(grads) == 9
+            for i, g in grads.items():
+                assert g.shape == ref_grads[i].shape
+                assert np.max(np.abs(g - ref_grads[i]), initial=0.0) < 1e-12
 
     def test_gradient_check(self):
         rng = np.random.default_rng(13)
-        x, key_bias, weights = _attention_case(rng, 3, 4, 4, empty_row=False)
+        x, mask, key_bias, weights = _attention_case(rng, 3, 4, 4,
+                                                     empty_row=False)
+        rows = np.flatnonzero(mask)
         names = [f"{kind}{part}" for part in "qkvo" for kind in "wb"]
-        params = {"x": x, **dict(zip(names, weights))}
-        c = rng.normal(size=(3, 4, 4))
+        params = {"x": _rows_of(x, rows), **dict(zip(names, weights))}
+        c = rng.normal(size=(len(rows), 4))
 
         def model_fn():
             return T.reduce_sum(T.attention(
-                params["x"], key_bias, *(params[n] for n in names), 2) * c)
+                params["x"], rows, key_bias, *(params[n] for n in names), 2) * c)
 
         report = gradient_check(model_fn, params)
         assert report["failed"] == []
@@ -566,23 +609,55 @@ class TestAttention:
 
     def test_inputs_and_upstream_untouched_and_output_not_aliased(self):
         rng = np.random.default_rng(14)
-        x, key_bias, weights = _attention_case(rng, 3, 5, 8)
-        upstream = rng.normal(size=(3, 5, 8))
-        arrays = [x.data, key_bias, *(w.data for w in weights), upstream]
+        x, mask, key_bias, weights = _attention_case(rng, 3, 5, 8)
+        rows = np.flatnonzero(mask)
+        xr = _rows_of(x, rows)
+        upstream = rng.normal(size=(len(rows), 8))
+        arrays = [xr.data, rows, key_bias, *(w.data for w in weights), upstream]
         kept = [a.copy() for a in arrays]
         out, grads = _forward_backward(
-            lambda *a: T.attention(a[0], key_bias, *a[1:], 2), x, *weights,
-            upstream=upstream)
+            lambda *a: T.attention(a[0], rows, key_bias, *a[1:], 2), xr,
+            *weights, upstream=upstream)
         for before, now in zip(kept, arrays):
             assert np.array_equal(before, now)
-        assert not np.shares_memory(out, x.data)
+        assert not np.shares_memory(out, xr.data)
         assert all(not np.shares_memory(g, upstream) for g in grads)
 
     def test_heads_must_divide_width(self):
-        x, key_bias, weights = _attention_case(np.random.default_rng(15), 2, 3, 6)
+        x, mask, key_bias, weights = _attention_case(np.random.default_rng(15),
+                                                     2, 3, 6)
+        rows = np.flatnonzero(mask)
         for heads in (4, 0):
             with pytest.raises(ShapeError):
-                T.attention(x, key_bias, *weights, heads)
+                T.attention(_rows_of(x, rows), rows, key_bias, *weights, heads)
+
+    def test_rows_must_match_inputs(self):
+        x, mask, key_bias, weights = _attention_case(np.random.default_rng(16),
+                                                     2, 3, 4)
+        rows = np.flatnonzero(mask)
+        with pytest.raises(ShapeError):
+            T.attention(_rows_of(x, rows), rows[:-1], key_bias, *weights, 2)
+        with pytest.raises(ShapeError):
+            T.attention(x, np.arange(6), key_bias, *weights, 2)
+
+
+class TestScatterRows:
+    def test_places_rows_and_zero_fills(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        out = T.scatter_rows(x, np.asarray([0, 4, 5]), (2, 3)).data
+        assert out.shape == (2, 3, 2)
+        assert np.array_equal(out.reshape(6, 2)[[0, 4, 5]], x.data)
+        assert np.all(out.reshape(6, 2)[[1, 2, 3]] == 0.0)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        rows = np.asarray([0, 2, 3, 7])
+        c = rng.normal(size=(2, 4, 3))
+        report = gradient_check(
+            lambda: T.reduce_sum(T.scatter_rows(x, rows, (2, 4)) * c), {"x": x})
+        assert report["failed"] == []
+        assert report["max_overall"] < 1e-8
 
 
 class TestMiscOps:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsrec.data import DataError
 from newsrec.text import (CLS_ID, MASK_ID, PAD_ID, RESERVED, UNK_ID,
                           TokenSequence, Vocabulary, build_vocab, mask_for_mlm,
                           split_words, tokenize)
@@ -50,8 +51,21 @@ class TestBuildVocab:
         assert v.lookup("b") == UNK_ID
 
     def test_cap_binds(self):
-        v = build_vocab(["a a b"], max_size=4)
-        assert v.size == 4
+        v = build_vocab(["a a b"], max_size=5)
+        assert v.size == 5
+        assert v.lookup("a") != UNK_ID
+        assert v.lookup("b") == UNK_ID
+
+    @pytest.mark.parametrize("kw", [{"max_size": len(RESERVED)},
+                                    {"max_size": 0}, {"max_size": -3},
+                                    {"min_count": 0}, {"min_count": -1}])
+    def test_out_of_range_sizes_rejected(self, kw):
+        with pytest.raises(ValueError):
+            build_vocab(["a a b"], **kw)
+
+    def test_no_token_kept_is_a_data_error(self):
+        with pytest.raises(DataError, match="min_count=3"):
+            build_vocab(["a a b"], min_count=3)
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

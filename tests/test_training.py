@@ -1,6 +1,7 @@
 """Sample construction, listwise loss, shard aggregation, training loop,
 and MLM pretraining."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -267,6 +268,14 @@ class TestDropout:
 
         assert losses(0.5) == losses(0.5)
         assert losses(0.5) != losses(0.0)
+
+
+def test_mlm_pretrain_defaults_are_the_train_config_defaults():
+    params = inspect.signature(mlm_pretrain).parameters
+    config = TrainConfig()
+    for arg, field in (("mask_rate", "mlm_rate"), ("epochs", "mlm_epochs"),
+                       ("learning_rate", "mlm_learning_rate")):
+        assert params[arg].default == getattr(config, field), arg
 
 
 class TestMlmPretrain:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracles import dense_nrms_forward
 
 from newsrec import tensor as T
 from newsrec.encoders import NewsEncoderSpec, param_count
@@ -231,6 +232,36 @@ class TestNrms:
         ctx = ((x @ p["selfattn.wv"] + p["selfattn.bv"]) @ p["selfattn.wo"]
                + p["selfattn.bo"])
         assert np.max(np.abs(out - ctx)) < 1e-12
+
+    def test_matches_dense_oracle_with_cold_start_rows(self):
+        enc = _enc("nrms", seed=16)
+        rng = np.random.default_rng(16)
+        # trained-looking value and output biases: a cold-start row's context
+        # is then bv Wo + bo, not zero
+        for name in ("selfattn.bv", "selfattn.bo"):
+            enc.params[name].data = rng.normal(size=D)
+        mask = np.ones((4, 5))
+        mask[1, 3:] = 0.0
+        mask[2] = 0.0  # cold start
+        mask[3, 1:] = 0.0
+        hist = Tensor(rng.normal(size=(4, 5, D)) * mask[..., None],
+                      requires_grad=True)
+        params = {"hist": hist, **enc.params}
+        upstream = rng.normal(size=(4, D))
+        results = []
+        for forward in (enc.forward, lambda h, m: dense_nrms_forward(enc, h, m)):
+            with ComputationTape() as tape:
+                out = forward(hist, mask)
+                grads = tape.backward(T.reduce_sum(out * upstream), params)
+            results.append((out.data, grads))
+        (out, grads), (ref, ref_grads) = results
+        # every slot is a row, so the packed op does the dense op's arithmetic
+        assert np.array_equal(out, ref)
+        for name, ref_g in ref_grads.items():
+            assert np.array_equal(grads[name], ref_g), name
+        p = {k: v.data for k, v in enc.params.items()}
+        cold = p["selfattn.bv"] @ p["selfattn.wo"] + p["selfattn.bo"]
+        assert np.max(np.abs(out[2] - cold)) < 1e-12
 
     def test_trailing_padding_invariant(self):
         enc = _enc("nrms", seed=15)
