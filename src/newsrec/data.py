@@ -66,6 +66,12 @@ class SyntheticSpec:
             raise DataError("all synthetic counts must be positive")
         if self.shared_vocab < 0 or not self.markets:
             raise DataError("inconsistent synthetic spec")
+        if self.num_news < 2 or self.candidates_per_impression < 2:
+            raise DataError("num_news and candidates_per_impression must be "
+                            ">= 2: an impression needs a negative")
+        if self.click_temperature <= 0 or self.user_topic_concentration <= 0:
+            raise DataError("click_temperature and user_topic_concentration "
+                            "must be > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ class NewsEncoderSpec:
             raise ValueError("dropout must be in [0, 1)")
         if self.kind == MINI_PLM and self.depth < 1:
             raise ValueError("mini_plm depth must be >= 1")
-        if self.kind == CNN and self.conv_window % 2 == 0:
-            raise ValueError("conv_window must be odd")
+        if self.kind == CNN and (self.conv_window < 1
+                                 or self.conv_window % 2 == 0):
+            raise ValueError("conv_window must be odd and >= 1")
         if self.kind == MINI_PLM and not 0 <= self.finetune_last_k <= self.depth:
             raise ValueError("finetune_last_k must be in [0, depth]")
 
@@ -264,7 +265,8 @@ def additive_attention(states: Tensor, mask: np.ndarray, w: Tensor, b: Tensor,
                        q: Tensor) -> Tensor:
     """softmax(q^T tanh(states W + b)) over unmasked rows; weighted sum.
 
-    states: (B, M, d); mask: (B, M); returns (B, d).
+    states: (B, M, d); mask: (B, M); q: (d, 1), or (B, d, 1) for one query
+    per row; returns (B, d).
     """
     B, M, d = states.shape
     proj = T.tanh(T.matmul(states, w, b))
@@ -301,18 +303,18 @@ def pool_batch(states: Tensor, mask: np.ndarray, mode: str, params: dict) -> Ten
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-def apply_finetune_policy(encoder: NewsEncoderBase, finetune_last_k: int):
-    """Freeze embeddings and all but the top k transformer blocks.
+def apply_finetune_policy(encoder: NewsEncoderBase):
+    """Freeze embeddings and all but the top ``spec.finetune_last_k``
+    transformer blocks.
 
     Returns (trainable_names, frozen_names).  Pooling parameters and the
     final layer norm stay trainable.  Only meaningful for the mini PLM.
     """
     if not isinstance(encoder, MiniPlmEncoder):
         raise ValueError("finetune policy applies to mini_plm encoders only")
-    depth = encoder.spec.depth
-    if finetune_last_k > depth:
-        raise ValueError(f"finetune_last_k {finetune_last_k} > depth {depth}")
-    frozen_blocks = {f"block{l}." for l in range(depth - finetune_last_k)}
+    spec = encoder.spec
+    frozen_blocks = {f"block{l}."
+                     for l in range(spec.depth - spec.finetune_last_k)}
     trainable, frozen = [], []
     for name, p in encoder.params.items():
         freeze = (name in ("token_emb", "pos_emb")

@@ -173,51 +173,33 @@ def evaluate(model, impressions, table, score_override=None) -> EvalReport:
 
     ``score_override`` replaces model scores for debugging: a callable
     mapping (labels array) -> scores array (e.g. the oracle scorer).
+    ``metadata["cold_start_impressions"]`` counts the impressions whose
+    capped history holds no news of ``table``.
     """
+    # encode the news first, so that its peak memory is not stacked on
+    # the per-impression lists
     news_emb = None if score_override else encode_all_news(model, table)
     cap = model.spec.history_cap
-    pairs = []
-    batch_u, batch_meta = [], []
+    histories = [[table.index[n] for n in imp.history[-cap:] if n in table.index]
+                 for imp in impressions]
+    labels = [np.asarray([c for _, c in imp.candidates]) for imp in impressions]
+    if score_override is not None:
+        scores = [np.asarray(score_override(lab), dtype=np.float64)
+                  for lab in labels]
+    else:
+        scores = []
+        for start in range(0, len(impressions), 128):
+            chunk = impressions[start:start + 128]
+            u = model.encode_users(news_emb, histories[start:start + 128],
+                                   [model.user_idx(imp.user_id) for imp in chunk])
+            for imp, u_i in zip(chunk, u.data):
+                rows = [table.index[n] for n, _ in imp.candidates]
+                scores.append(news_emb[rows] @ u_i)
 
-    def flush():
-        if not batch_meta:
-            return
-        t_max = max(len(h) for h, _, _ in batch_meta)
-        B = len(batch_meta)
-        d = news_emb.shape[1]
-        hist = np.zeros((B, t_max, d))
-        mask = np.zeros((B, t_max))
-        uidx = np.zeros(B, dtype=np.int64)
-        for i, (h, uix, _) in enumerate(batch_meta):
-            if h:
-                hist[i, :len(h)] = news_emb[h]
-                mask[i, :len(h)] = 1.0
-            uidx[i] = uix
-        from .tensor import Tensor
-        u = model.user_encoder.forward(Tensor._make(hist), mask, uidx).data
-        for i, (_, _, (cand_rows, labels)) in enumerate(batch_meta):
-            pairs.append((news_emb[cand_rows] @ u[i], labels))
-        batch_meta.clear()
-
-    for imp in impressions:
-        labels = np.asarray([c for _, c in imp.candidates])
-        if score_override is not None:
-            pairs.append((np.asarray(score_override(labels), dtype=np.float64),
-                          labels))
-            continue
-        hist_rows = [table.index[n] for n in imp.history[-cap:]
-                     if n in table.index]
-        cand_rows = np.asarray([table.index[n] for n, _ in imp.candidates],
-                               dtype=np.int64)
-        batch_meta.append((hist_rows, model.user_idx(imp.user_id),
-                           (cand_rows, labels)))
-        if len(batch_meta) >= 128:
-            flush()
-    flush()
-
-    report = score_impressions(pairs)
+    report = score_impressions(zip(scores, labels))
     report.metadata = {"model_hash": model.spec.config_hash(),
-                       "num_news": len(table)}
+                       "num_news": len(table),
+                       "cold_start_impressions": sum(not h for h in histories)}
     return report
 
 

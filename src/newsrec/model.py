@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import NewsArticle
 from .encoders import (MINI_PLM, NewsEncoderSpec, apply_finetune_policy,
                        build_news_encoder)
@@ -94,12 +95,29 @@ class Recommender:
     def user_idx(self, user_id: str) -> int:
         return self.user_index.get(user_id, FALLBACK_USER_INDEX)
 
-    def apply_finetune_policy(self, finetune_last_k: int | None = None):
+    def encode_users(self, news, histories, user_idx) -> Tensor:
+        """(B, d) user embeddings of B ragged lists of rows of ``news``.
+
+        ``news`` is the (N, d) news matrix: a taped Tensor in training, a
+        plain array in evaluation.  The lists are padded to the longest
+        one, which may be empty: the user encoders give a (B, 0) history
+        one all-masked slot.
+        """
+        width = max(map(len, histories), default=0)
+        idx = np.zeros((len(histories), width), dtype=np.int64)
+        mask = np.zeros((len(histories), width))
+        for i, h in enumerate(histories):
+            idx[i, :len(h)] = h
+            mask[i, :len(h)] = 1.0
+        hist = T.embedding_lookup(news, idx) * mask[..., None]
+        return self.user_encoder.forward(hist, mask,
+                                         np.asarray(user_idx, dtype=np.int64))
+
+    def apply_finetune_policy(self):
+        """Freeze all but the top ``spec.news.finetune_last_k`` blocks."""
         if self.spec.news.kind != MINI_PLM:
             raise ValueError("finetune policy requires a mini_plm news encoder")
-        k = (self.spec.news.finetune_last_k if finetune_last_k is None
-             else finetune_last_k)
-        return apply_finetune_policy(self.news_encoder, k)
+        return apply_finetune_policy(self.news_encoder)
 
     def total_param_count(self) -> int:
         return sum(p.size for p in self.parameters().values())

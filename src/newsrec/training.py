@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluation
 from . import tensor as T
-from .data import Impression
+from .data import DataError, Impression
 from .fileio import atomic_open
 from .model import NewsTokenTable, Recommender
 from .tensor import Adam, ComputationTape, NumericalError, ShapeError, Tensor
@@ -50,6 +50,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.batch_size % self.shards != 0:
             raise ValueError("batch_size must be divisible by shards")
+        for name in ("learning_rate", "mlm_learning_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.mlm_rate < 1.0:
             raise ValueError("mlm_rate must be in (0, 1)")
 
@@ -150,30 +153,18 @@ def batch_loss(model: Recommender, table: NewsTokenTable,
                batch: list[_RowSample], rng=None) -> Tensor:
     """Mean listwise loss over a batch; shares news encodings within it."""
     B = len(batch)
-    uniq = np.unique(np.concatenate(
-        [s.candidate_rows for s in batch] + [s.history_rows for s in batch]))
-    remap = {int(r): i for i, r in enumerate(uniq)}
-    H = model.news_encoder.embed(table.ids[uniq], table.mask[uniq], rng=rng)
-    d = model.spec.news.d_model
-
-    t_max = max(1, max(len(s.history_rows) for s in batch))
     n_cand = len(batch[0].candidate_rows)
-    hist_idx = np.zeros((B, t_max), dtype=np.int64)
-    hist_mask = np.zeros((B, t_max))
-    cand_idx = np.zeros((B, n_cand), dtype=np.int64)
-    for i, s in enumerate(batch):
-        if len(s.candidate_rows) != n_cand:
-            raise ShapeError("ragged candidate lists in one batch")
-        h = s.history_rows
-        hist_idx[i, :len(h)] = [remap[int(r)] for r in h]
-        hist_mask[i, :len(h)] = 1.0
-        cand_idx[i] = [remap[int(r)] for r in s.candidate_rows]
-
-    hist = T.embedding_lookup(H, hist_idx) * hist_mask[..., None]
-    user_idx = np.asarray([s.user_idx for s in batch], dtype=np.int64)
-    u = model.user_encoder.forward(hist, hist_mask, user_idx)
-    cand = T.embedding_lookup(H, cand_idx)
-    scores = T.reduce_sum(T.reshape(u, (B, 1, d)) * cand, axis=-1)
+    if any(len(s.candidate_rows) != n_cand for s in batch):
+        raise ShapeError("ragged candidate lists in one batch")
+    uniq, inverse = np.unique(np.concatenate(
+        [s.candidate_rows for s in batch] + [s.history_rows for s in batch]),
+        return_inverse=True)
+    H = model.news_encoder.embed(table.ids[uniq], table.mask[uniq], rng=rng)
+    ends = np.cumsum([len(s.history_rows) for s in batch])
+    histories = np.split(inverse[B * n_cand:], ends[:-1])
+    u = model.encode_users(H, histories, [s.user_idx for s in batch])
+    cand = T.embedding_lookup(H, inverse[:B * n_cand].reshape(B, n_cand))
+    scores = T.reduce_sum(T.reshape(u, (B, 1, u.shape[1])) * cand, axis=-1)
     return listwise_loss(scores, [s.label for s in batch])
 
 
@@ -223,7 +214,7 @@ def train(model: Recommender, table: NewsTokenTable,
     with NumericalError.
     """
     if not samples:
-        raise ValueError("empty training sample set")
+        raise DataError("empty training sample set")
     rows = _row_samples(model, table, samples)
     trainable = model.trainable_parameters()
     opt = Adam(trainable, learning_rate=config.learning_rate)

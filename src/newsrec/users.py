@@ -18,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .encoders import (NEG_BIAS, _attn_params, _init, _zeros,
-                       additive_attention, multi_head_attention)
+from .encoders import (_attn_params, _init, _zeros, additive_attention,
+                       multi_head_attention)
 
 GRU = "gru"
 ADDITIVE_ATTN = "additive_attn"
@@ -125,17 +125,13 @@ class NpaUserEncoder(UserEncoderBase):
 
     def forward(self, hist, mask, user_idx=None):
         hist, mask = _at_least_one_slot(hist, mask)
-        B, Tlen, d = hist.shape
+        B, _, d = hist.shape
         if user_idx is None:
             user_idx = np.full(B, FALLBACK_USER_INDEX, dtype=np.int64)
         e_user = T.embedding_lookup(self.params["user_emb"], user_idx)
         q = T.tanh(e_user @ self.params["query.w"])
-        proj = T.tanh(T.matmul(hist, self.params["attn.w"],
-                               self.params["attn.b"]))
-        scores = T.reduce_sum(proj * T.reshape(q, (B, 1, d)), axis=-1)
-        weights = T.softmax(scores + (mask.astype(np.float64) - 1.0) * NEG_BIAS,
-                            axis=-1)
-        return T.reshape(T.reshape(weights, (B, 1, Tlen)) @ hist, (B, d))
+        return additive_attention(hist, mask, self.params["attn.w"],
+                                  self.params["attn.b"], T.reshape(q, (B, d, 1)))
 
 
 class LsturUserEncoder(UserEncoderBase):

@@ -132,12 +132,25 @@ class TestConfigValidation:
         ("train", {"dataset.split.valid_fraction": 1.0}),
         ("train", {"dataset.vocab.max_size": 0}),
         ("train", {"dataset.vocab.max_size": -3}),
-        ("train", {"dataset.vocab.min_count": 0})],
+        ("train", {"dataset.vocab.min_count": 0}),
+        ("train", {"dataset.synthetic.click_temperature": 0}),
+        ("train", {"dataset.synthetic.click_temperature": -1}),
+        ("train", {"dataset.synthetic.user_topic_concentration": -1}),
+        ("train", {"dataset.synthetic.candidates_per_impression": 1}),
+        ("train", {"dataset.synthetic.num_news": 1}),
+        ("train", {"model.news_encoder.kind": "cnn",
+                   "model.news_encoder.conv_window": -1}),
+        ("train", {"train.learning_rate": -1}),
+        ("pretrain", {"model.news_encoder.kind": "mini_plm",
+                      "train.mlm_learning_rate": -1})],
         ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
              "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
              "seed", "mlm_rate_under_train", "test_fraction_2",
              "test_fraction_0", "valid_fraction_1", "max_size_0",
-             "max_size_negative", "min_count_0"])
+             "max_size_negative", "min_count_0", "click_temperature_0",
+             "click_temperature_negative", "user_topic_concentration",
+             "candidates_per_impression", "num_news", "conv_window",
+             "learning_rate", "mlm_learning_rate"])
     def test_out_of_range_value_is_config_error(self, runner, tmp_path,
                                                 command, overrides):
         cfg = _write_config(tmp_path, overrides)
@@ -203,6 +216,23 @@ class TestConfigValidation:
         assert result.exit_code == 3, result.output
         assert result.output.startswith("data error: no corpus token")
         assert result.output.count("\n") == 1
+
+    def test_corpus_without_training_sample_is_data_error(self, runner,
+                                                           tmp_path):
+        # every candidate is clicked, so no click has a negative to rank
+        news = tmp_path / "news.tsv"
+        news.write_text("".join(f"N{i}\tcat\tsub\tword{i} shared\n"
+                                for i in range(4)))
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text("".join(
+            f"I{i}\tU{i % 3}\t2020-12-01T00:{i:02d}:00\tN0\tN1-1 N2-1\n"
+            for i in range(30)))
+        cfg = _write_config(tmp_path, {"dataset": {"paths": [
+            {"news": str(news), "behaviors": str(behaviors)}]}})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert "data error: empty training sample set" in result.output
 
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [
@@ -424,6 +454,7 @@ class TestTrainEvaluate:
         assert result.exit_code == 0, result.output
         report = json.loads((ev / "report.json").read_text())
         assert report["num_impressions"] == 5
+        assert report["metadata"]["cold_start_impressions"] == 5
         assert 0.0 <= report["means"]["auc"] <= 1.0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

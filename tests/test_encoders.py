@@ -292,34 +292,35 @@ class TestPooling:
 
 
 class TestFinetunePolicy:
-    def _encoder(self, depth=4):
-        return build_news_encoder(_spec(MINI_PLM, depth=depth), VOCAB, M, seed=13)
+    def _encoder(self, k, depth=4):
+        return build_news_encoder(_spec(MINI_PLM, depth=depth,
+                                        finetune_last_k=k), VOCAB, M, seed=13)
 
     def test_k_equals_depth_freezes_only_embeddings(self):
-        enc = self._encoder()
-        trainable, frozen = apply_finetune_policy(enc, 4)
+        enc = self._encoder(4)
+        trainable, frozen = apply_finetune_policy(enc)
         assert frozen == ["token_emb", "pos_emb"]
         assert len(trainable) == len(enc.params) - 2
 
     def test_k_zero_freezes_encoder_not_pooling(self):
-        enc = self._encoder()
-        trainable, frozen = apply_finetune_policy(enc, 0)
+        enc = self._encoder(0)
+        trainable, frozen = apply_finetune_policy(enc)
         assert all(n.startswith("pool.") or n.startswith("final_ln.")
                    for n in trainable)
         assert "token_emb" in frozen
 
     def test_k_beyond_depth_rejected(self):
-        with pytest.raises(ValueError):
-            apply_finetune_policy(self._encoder(), 5)
+        with pytest.raises(ValueError, match="finetune_last_k"):
+            self._encoder(5)
 
     def test_non_plm_rejected(self):
         enc = build_news_encoder(_spec(CNN), VOCAB, M, seed=0)
         with pytest.raises(ValueError):
-            apply_finetune_policy(enc, 1)
+            apply_finetune_policy(enc)
 
     def test_gradient_flow_respects_freeze(self):
-        enc = self._encoder(depth=4)
-        apply_finetune_policy(enc, 2)
+        enc = self._encoder(2, depth=4)
+        apply_finetune_policy(enc)
         ids, mask = _random_batch(np.random.default_rng(6), b=2)
         with ComputationTape() as tape:
             loss = T.reduce_sum(enc.embed(ids, mask))

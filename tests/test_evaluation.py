@@ -1,5 +1,6 @@
 """Ranking metrics, report aggregation, PCA projection, discriminability."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -307,3 +308,12 @@ class TestEvaluate:
             assert abs(row.mrr - mrr(scores, labels)) < 1e-12
             assert abs(row.ndcg5 - ndcg_at_k(scores, labels, 5)) < 1e-12
             assert abs(row.ndcg10 - ndcg_at_k(scores, labels, 10)) < 1e-12
+
+    def test_cold_start_impressions_counted(self):
+        model, table, imps = _tiny_model()
+        # a history of unknown news ids only is cold start too
+        imps = imps + [dataclasses.replace(imps[-1], history=["N-unknown"])]
+        for override in (None, lambda labels: labels.astype(float)):
+            report = evaluate(model, imps, table, score_override=override)
+            # each of the 20 users' first impression has an empty history
+            assert report.metadata["cold_start_impressions"] == 21

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsrec import tensor as T
 from newsrec.encoders import NewsEncoderSpec
 from newsrec.model import ModelSpec, Recommender
-from newsrec.tensor import CheckpointError, load_checkpoint
+from newsrec.tensor import (CheckpointError, ComputationTape, Tensor,
+                            load_checkpoint)
 from newsrec.text import build_vocab
 from newsrec.users import USER_ENCODER_KINDS, UserEncoderSpec
 
@@ -109,3 +111,51 @@ class TestRecommender:
             cut.write_bytes(blob[:n])
             with pytest.raises(CheckpointError):
                 model.load(cut)
+
+
+class TestEncodeUsers:
+    """``encode_users`` against the user encoder on a batch padded by hand
+    to at least one slot, the rule training used before ``encode_users``."""
+
+    def _hand_padded_idx(self, histories):
+        width = max(1, max(map(len, histories)))
+        idx = np.zeros((len(histories), width), dtype=np.int64)
+        mask = np.zeros((len(histories), width))
+        for i, h in enumerate(histories):
+            idx[i, :len(h)] = h
+            mask[i, :len(h)] = 1.0
+        return idx, mask
+
+    @pytest.mark.parametrize("kind", USER_ENCODER_KINDS)
+    @pytest.mark.parametrize("histories", [[[3, 0, 5], [], [1], [4, 4]],
+                                           [[], [], []]],
+                             ids=["ragged", "all_empty"])
+    def test_matches_hand_padded_forward(self, kind, histories):
+        model = _model(spec=_spec(kind))
+        news = np.random.default_rng(7).normal(size=(6, 4))
+        user_idx = np.arange(len(histories)) % 3
+        idx, mask = self._hand_padded_idx(histories)
+
+        # evaluation: a plain news matrix, no tape
+        hist = news[idx] * mask[..., None]
+        ref = model.user_encoder.forward(Tensor(hist), mask, user_idx).data
+        out = model.encode_users(news, histories, user_idx).data
+        assert np.array_equal(out, ref)
+
+        # training: a taped news matrix; outputs and gradients agree bitwise
+        runs = []
+        for hand in (False, True):
+            news_t = Tensor(news, requires_grad=True)
+            params = {"news": news_t, **model.user_encoder.params}
+            with ComputationTape() as tape:
+                if hand:
+                    h = T.embedding_lookup(news_t, idx) * mask[..., None]
+                    u = model.user_encoder.forward(h, mask, user_idx)
+                else:
+                    u = model.encode_users(news_t, histories, user_idx)
+                grads = tape.backward(T.reduce_sum(u * u), params)
+            runs.append((u.data, grads))
+        (u_new, g_new), (u_ref, g_ref) = runs
+        assert np.array_equal(u_new, ref) and np.array_equal(u_ref, ref)
+        for name in g_ref:
+            assert np.array_equal(g_new[name], g_ref[name]), name

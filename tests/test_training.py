@@ -209,10 +209,10 @@ class TestTrain:
 
     def test_frozen_layers_leave_trainable_gradients_bitwise(self):
         news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
-                               depth=4, pooling="attention")
+                               depth=4, pooling="attention", finetune_last_k=2)
         model, table, samples, _ = _toy_setup(seed=3, news=news)
         rows = _row_samples(model, table, samples[:16])
-        model.apply_finetune_policy(2)
+        model.apply_finetune_policy()
         trainable = model.trainable_parameters()
         assert len(trainable) < len(model.parameters())
         _, frozen_run = _shard_step(model, table, rows, 1, trainable, (0,))
