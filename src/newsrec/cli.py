@@ -28,8 +28,8 @@ from .data import (DataError, SyntheticSpec, dataset_summary,
 from .encoders import MINI_PLM, NewsEncoderSpec, build_news_encoder
 from .fileio import atomic_open
 from .model import ModelSpec, NewsTokenTable, Recommender
-from .tensor import (CheckpointError, NumericalError, load_checkpoint,
-                     save_checkpoint)
+from .tensor import (CheckpointError, NumericalError, assign_parameters,
+                     load_checkpoint, save_checkpoint)
 from .text import build_vocab, tokenize
 from .training import (TrainConfig, build_training_samples, mlm_pretrain, train)
 from .users import UserEncoderSpec
@@ -276,9 +276,12 @@ def _pretrain(cfg, bundle, seed, ckpt_path: Path):
 def _train_once(cfg, bundle, seed, from_pretrained=None):
     model, table = _build_model(cfg, bundle, seed)
     if from_pretrained:
+        if model.spec.news.kind != MINI_PLM:
+            raise ConfigError("--from-pretrained requires "
+                              "news_encoder.kind=mini_plm")
         arrays = load_checkpoint(from_pretrained)
-        model.load_state({"news." + k: v for k, v in arrays.items()
-                          if k != "mlm.out_bias"}, strict=False)
+        arrays.pop("mlm.out_bias", None)
+        assign_parameters(model.news_encoder.params, arrays)
         model.apply_finetune_policy()
     tcfg = train_config_from(cfg, seed)
     samples, skipped = build_training_samples(
@@ -431,10 +434,13 @@ def cmd_evaluate(cfg, seed, manifest, checkpoint, oracle):
 # a pretraining variant decides whether to pretrain and sets no field
 _COMPARE_AXES = {
     "pooling": (["cls", "average", "attention"], lambda v: {"pooling": v}),
-    "depth": ([2, 4, 8], lambda v: {"kind": MINI_PLM, "depth": int(v)}),
+    "depth": ([2, 4, 8], lambda v: {"kind": MINI_PLM, "depth": v}),
     "encoder": (["cnn", "self_attn", "mini_plm"], lambda v: {"kind": v}),
     "pretraining": (["scratch", "pretrained"], lambda v: {}),
 }
+# the variants an axis accepts where the news-encoder spec does not check them
+_VALID_VARIANT = {"depth": lambda v: _is_json_type(v, int),
+                  "pretraining": lambda v: v in ("scratch", "pretrained")}
 
 
 def _compare_variants(cfg):
@@ -454,13 +460,11 @@ def _compare_variants(cfg):
         raise ConfigError(f"compare.num_seeds must be >= 1, got {num_seeds}")
     variant_cfgs = []
     for variant in variants:
+        if not _VALID_VARIANT.get(axis, lambda v: True)(variant):
+            raise ConfigError(f"invalid {axis} variant {variant!r}")
         out = json.loads(json.dumps(cfg))  # deep copy
-        try:
-            news_fields = fields_of(variant)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid {axis} variant {variant!r}") from e
         out.setdefault("model", {}).setdefault("news_encoder", {}).update(
-            news_fields)
+            fields_of(variant))
         if "epochs" in cmp_cfg:
             out.setdefault("train", {})["epochs"] = cmp_cfg["epochs"]
         variant_cfgs.append((variant, out))

@@ -44,7 +44,7 @@ class Impression:
     candidates: list[tuple[str, int]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     num_topics: int = 5
     vocab_per_topic: int = 40

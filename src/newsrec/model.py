@@ -16,10 +16,11 @@ import numpy as np
 
 from . import tensor as T
 from .data import NewsArticle
-from .encoders import (MINI_PLM, NewsEncoderSpec, apply_finetune_policy,
+from .encoders import (NewsEncoderSpec, apply_finetune_policy,
                        build_news_encoder)
 from .fileio import atomic_open
-from .tensor import CheckpointError, Tensor, load_checkpoint, save_checkpoint
+from .tensor import (Tensor, assign_parameters, load_checkpoint,
+                     save_checkpoint)
 from .text import Vocabulary, tokenize
 from .users import FALLBACK_USER_INDEX, UserEncoderSpec, build_user_encoder
 
@@ -115,36 +116,12 @@ class Recommender:
 
     def apply_finetune_policy(self):
         """Freeze all but the top ``spec.news.finetune_last_k`` blocks."""
-        if self.spec.news.kind != MINI_PLM:
-            raise ValueError("finetune policy requires a mini_plm news encoder")
         return apply_finetune_policy(self.news_encoder)
 
     def total_param_count(self) -> int:
         return sum(p.size for p in self.parameters().values())
 
     # -- persistence ------------------------------------------------------
-
-    def load_state(self, arrays: dict[str, np.ndarray], strict: bool = True):
-        """Copy ``arrays`` into the parameters of the same names.
-
-        Raises CheckpointError on a wrongly shaped tensor and, when
-        ``strict``, on a missing or unexpected one.
-        """
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        if strict and missing:
-            raise CheckpointError(
-                f"checkpoint missing parameters: {sorted(missing)[:5]}")
-        for name, arr in arrays.items():
-            if name not in params:
-                if strict:
-                    raise CheckpointError(
-                        f"unexpected parameter {name!r} in checkpoint")
-                continue
-            if params[name].data.shape != arr.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}: "
-                                      f"{params[name].data.shape} vs {arr.shape}")
-            params[name].data = arr.copy()
 
     def save(self, ckpt_path, user_ids_path=None):
         save_checkpoint(ckpt_path, self.parameters())
@@ -154,4 +131,4 @@ class Recommender:
                     f.write(uid + "\n")
 
     def load(self, ckpt_path):
-        self.load_state(load_checkpoint(ckpt_path))
+        assign_parameters(self.parameters(), load_checkpoint(ckpt_path))

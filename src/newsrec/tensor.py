@@ -752,23 +752,24 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-5):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, g in grads.items():
@@ -784,7 +785,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data = p.data - self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            p.data = p.data - self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -896,3 +897,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             payload = read(math.prod(shape) * 8)
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out
+
+
+def assign_parameters(params: dict[str, Tensor],
+                      arrays: dict[str, np.ndarray]):
+    """Copy ``arrays`` into the tensors of ``params`` of the same names.
+
+    Every name and shape is checked before the first copy: a missing,
+    unexpected or wrongly shaped tensor raises CheckpointError and leaves
+    ``params`` as they were.
+    """
+    if missing := sorted(set(params) - set(arrays)):
+        raise CheckpointError(f"checkpoint missing parameters: {missing[:5]}")
+    if unexpected := sorted(set(arrays) - set(params)):
+        raise CheckpointError(f"unexpected parameters in checkpoint: "
+                              f"{unexpected[:5]}")
+    for name, arr in arrays.items():
+        if params[name].data.shape != arr.shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: "
+                                  f"{params[name].data.shape} vs {arr.shape}")
+    for name, arr in arrays.items():
+        params[name].data = arr.copy()

@@ -68,7 +68,6 @@ class TokenSequence:
 
     ids: list[int]
     mask: list[int]
-    original_length: int
 
 
 def split_words(title: str) -> list[str]:
@@ -108,13 +107,12 @@ def tokenize(title: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
     words = split_words(title)
     ids = [CLS_ID] + [vocab.lookup(w) for w in words]
-    original_length = len(ids)
     ids = ids[:max_len]
     mask = [1] * len(ids)
     pad = max_len - len(ids)
     ids += [PAD_ID] * pad
     mask += [0] * pad
-    return TokenSequence(ids=ids, mask=mask, original_length=original_length)
+    return TokenSequence(ids=ids, mask=mask)
 
 
 def mask_for_mlm(seq: TokenSequence, vocab_size: int, mask_rate: float = 0.15,
@@ -148,6 +146,4 @@ def mask_for_mlm(seq: TokenSequence, vocab_size: int, mask_rate: float = 0.15,
             new_ids[pos] = MASK_ID
         elif roll < 0.9:
             new_ids[pos] = int(rng.integers(len(RESERVED), vocab_size))
-    corrupted = TokenSequence(ids=new_ids, mask=list(seq.mask),
-                              original_length=seq.original_length)
-    return corrupted, targets
+    return TokenSequence(ids=new_ids, mask=list(seq.mask)), targets

@@ -1,5 +1,5 @@
-"""Sample construction, listwise training, MLM pretraining, and the
-deterministic gradient-shard aggregation contract.
+"""Sample construction, listwise training and MLM pretraining; the two
+training runs share one seeded mini-batch Adam loop.
 
 Training samples are (K+1)-way classification instances: one clicked
 candidate plus K negatives drawn from the same impression.  Batches may be
@@ -18,7 +18,7 @@ from . import tensor as T
 from .data import DataError, Impression
 from .fileio import atomic_open
 from .model import NewsTokenTable, Recommender
-from .tensor import Adam, ComputationTape, NumericalError, ShapeError, Tensor
+from .tensor import Adam, ComputationTape, ShapeError, Tensor
 from .text import TokenSequence, mask_for_mlm
 
 
@@ -110,24 +110,6 @@ def listwise_loss(scores: Tensor, labels) -> Tensor:
     return T.reduce_sum(ls * onehot) * (-1.0 / labels.size)
 
 
-def aggregate_shards(shard_grads: list[dict[str, np.ndarray]]):
-    """Elementwise mean over per-shard gradient dicts (fixed shard order)."""
-    if not shard_grads:
-        raise ValueError("no shard gradients to aggregate")
-    names = list(shard_grads[0])
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        ref = shard_grads[0][name]
-        acc = ref.copy()
-        for sg in shard_grads[1:]:
-            g = sg.get(name)
-            if g is None or g.shape != ref.shape:
-                raise ShapeError(f"shard gradient mismatch for {name!r}")
-            acc += g
-        out[name] = acc / len(shard_grads)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # batched two-tower forward
 # ---------------------------------------------------------------------------
@@ -181,26 +163,49 @@ class TrainResult:
 
 
 def _shard_step(model, table, batch, shards, trainable, dropout_key):
-    """Forward/backward per shard; returns (mean loss, aggregated grads).
+    """Forward/backward per shard; returns (mean loss, mean gradients).
 
-    ``dropout_key`` is a tuple of non-negative ints; shard ``s`` draws its
-    dropout masks from a generator seeded with ``(*dropout_key, s)``.  Each
-    shard encodes its own news rows, so with dropout on the masks, and
-    hence the gradients, depend on the shard count.
+    The shards' gradients are added in shard order and divided once by the
+    shard count.  ``dropout_key`` is a tuple of non-negative ints; shard
+    ``s`` draws its dropout masks from a generator seeded with
+    ``(*dropout_key, s)``.  Each shard encodes its own news rows, so with
+    dropout on the masks, and hence the gradients, depend on the shard
+    count.
     """
     if len(batch) % shards != 0:
         shards = 1  # ragged tail batches run unsharded
     size = len(batch) // shards
-    shard_grads = []
     losses = []
     for s in range(shards):
         part = batch[s * size:(s + 1) * size]
         rng = np.random.default_rng((*dropout_key, s))
         with ComputationTape() as tape:
             loss = batch_loss(model, table, part, rng=rng)
-            shard_grads.append(tape.backward(loss, trainable))
+            grads = tape.backward(loss, trainable)
+        total = grads if s == 0 else {k: total[k] + g for k, g in grads.items()}
         losses.append(loss.item())
-    return float(np.mean(losses)), aggregate_shards(shard_grads)
+    return float(np.mean(losses)), {k: g / shards for k, g in total.items()}
+
+
+def _adam_epochs(trainable, learning_rate, n, batch_size, epochs, seed, step):
+    """Mini-batch Adam over seeded shuffles of ``n`` items.
+
+    Epoch ``e`` of the range ``epochs`` visits the items in the order of a
+    permutation seeded with ``seed * 1000003 + e``, ``batch_size`` at a
+    time.  ``step(e, b, idx)`` runs batch ``b`` on the items ``idx`` and
+    returns (loss, gradients), or None to skip the batch.  Yields (epoch,
+    mean loss of its batches) after each epoch's last update.
+    """
+    opt = Adam(trainable, learning_rate=learning_rate)
+    for epoch in epochs:
+        order = np.random.default_rng(seed * 1000003 + epoch).permutation(n)
+        losses = []
+        for b, start in enumerate(range(0, n, batch_size)):
+            out = step(epoch, b, order[start:start + batch_size])
+            if out is not None:
+                losses.append(out[0])
+                opt.step(out[1])
+        yield epoch, float(np.mean(losses))
 
 
 def train(model: Recommender, table: NewsTokenTable,
@@ -217,7 +222,6 @@ def train(model: Recommender, table: NewsTokenTable,
         raise DataError("empty training sample set")
     rows = _row_samples(model, table, samples)
     trainable = model.trainable_parameters()
-    opt = Adam(trainable, learning_rate=config.learning_rate)
 
     valid_rows = None
     if valid_impressions:
@@ -227,21 +231,14 @@ def train(model: Recommender, table: NewsTokenTable,
                                              history_cap=model.spec.history_cap)
         valid_rows = _row_samples(model, table, vsamples)
 
-    result = TrainResult()
-    for epoch in range(1, config.epochs + 1):
-        rng = np.random.default_rng(config.seed * 1000003 + epoch)
-        order = rng.permutation(len(rows))
-        epoch_losses = []
-        for start in range(0, len(rows), config.batch_size):
-            batch = [rows[i] for i in order[start:start + config.batch_size]]
-            loss, grads = _shard_step(
-                model, table, batch, config.shards, trainable,
-                (config.seed, epoch, start // config.batch_size))
-            if not np.isfinite(loss):
-                raise NumericalError(f"NaN loss at epoch {epoch}")
-            epoch_losses.append(loss)
-            opt.step(grads)
+    def step(epoch, b, idx):
+        return _shard_step(model, table, [rows[i] for i in idx], config.shards,
+                           trainable, (config.seed, epoch, b))
 
+    result = TrainResult()
+    for epoch, train_loss in _adam_epochs(
+            trainable, config.learning_rate, len(rows), config.batch_size,
+            range(1, config.epochs + 1), config.seed, step):
         valid_loss = float("nan")
         valid_auc = float("nan")
         if valid_rows is not None:
@@ -250,8 +247,7 @@ def train(model: Recommender, table: NewsTokenTable,
             valid_loss = float(np.mean(vloss))
             report = evaluation.evaluate(model, valid_impressions, table)
             valid_auc = report.means["auc"]
-        result.history.append(dict(epoch=epoch,
-                                   train_loss=float(np.mean(epoch_losses)),
+        result.history.append(dict(epoch=epoch, train_loss=train_loss,
                                    valid_loss=valid_loss,
                                    valid_auc=valid_auc))
     return result
@@ -271,9 +267,11 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
 
     Corrupted positions are predicted from the encoder's hidden states via
     logits = states @ token_emb^T + bias, computed for those positions
-    only.  Dropout masks of step ``t`` are drawn from ``(seed, t)``.
-    Returns (output_bias tensor, per-epoch mean losses); encoder parameters
-    update in place.
+    only.  Step ``t`` is batch ``b`` of epoch ``e``, t = e * (batches per
+    epoch) + b; it corrupts its titles with seeds from ``seed * 7 + t`` and
+    draws its dropout masks from ``(seed, t)``.  A batch without a
+    corrupted position is skipped.  Returns (output_bias tensor, per-epoch
+    mean losses); encoder parameters update in place.
     """
     if not sequences:
         raise ValueError("empty pretraining corpus")
@@ -283,30 +281,24 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
     params = dict(encoder.params)
     params["mlm.out_bias"] = out_bias
     trainable = {k: p for k, p in params.items() if p.requires_grad}
-    opt = Adam(trainable, learning_rate=learning_rate)
+    n_batches = len(range(0, len(sequences), batch_size))
 
-    epoch_losses = []
-    step = 0
-    for epoch in range(epochs):
-        rng = np.random.default_rng(seed * 1000003 + epoch)
-        order = rng.permutation(len(sequences))
-        losses = []
-        for start in range(0, len(sequences), batch_size):
-            batch = [sequences[i] for i in order[start:start + batch_size]]
-            ids, mask, rows, targets = _corrupt_batch(
-                batch, vocab_size, mask_rate, seed * 7 + step)
-            rng = np.random.default_rng((seed, step))
-            step += 1
-            if len(rows) == 0:
-                continue
-            with ComputationTape() as tape:
-                states = encoder.forward(ids, mask, rng=rng)
-                loss = _masked_lm_loss(states, rows, targets,
-                                       params["token_emb"], out_bias)
-                grads = tape.backward(loss, trainable)
-            losses.append(loss.item())
-            opt.step(grads)
-        epoch_losses.append(float(np.mean(losses)))
+    def step(epoch, b, idx):
+        t = epoch * n_batches + b
+        ids, mask, rows, targets = _corrupt_batch(
+            [sequences[i] for i in idx], vocab_size, mask_rate, seed * 7 + t)
+        if len(rows) == 0:
+            return None
+        with ComputationTape() as tape:
+            states = encoder.forward(ids, mask,
+                                     rng=np.random.default_rng((seed, t)))
+            loss = _masked_lm_loss(states, rows, targets,
+                                   params["token_emb"], out_bias)
+            return loss.item(), tape.backward(loss, trainable)
+
+    epoch_losses = [loss for _, loss in _adam_epochs(
+        trainable, learning_rate, len(sequences), batch_size, range(epochs),
+        seed, step)]
     return out_bias, epoch_losses
 
 

@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsrec.cli import main
 from newsrec.data import SyntheticSpec, split_dataset
 from newsrec.encoders import NewsEncoderSpec
 from newsrec.model import ModelSpec
+from newsrec.tensor import load_checkpoint
 from newsrec.text import build_vocab
 from newsrec.training import TrainConfig
 from newsrec.users import UserEncoderSpec
@@ -41,6 +44,10 @@ def runner():
     return CliRunner()
 
 
+# an override value that deletes the key
+_MISSING = object()
+
+
 def _write_config(tmp_path, overrides=None, **extra):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     if overrides:
@@ -49,7 +56,10 @@ def _write_config(tmp_path, overrides=None, **extra):
             keys = dotted.split(".")
             for k in keys[:-1]:
                 node = node.setdefault(k, {})
-            node[keys[-1]] = value
+            if value is _MISSING:
+                del node[keys[-1]]
+            else:
+                node[keys[-1]] = value
     cfg.update(extra)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -179,12 +189,21 @@ class TestConfigValidation:
         ("train", {"dataset.markets_filter": "EN-US"}),
         ("compare", {"compare": {"axis": "pooling", "variants": []}}),
         ("compare", {"compare": {"axis": "pooling", "num_seeds": 0}}),
-        ("compare", {"compare": {"axis": "pooling", "num_seeds": "x"}})],
+        ("compare", {"compare": {"axis": "pooling", "num_seeds": "x"}}),
+        ("compare", {"compare": {"axis": "pretraining",
+                                 "variants": ["scratch", "bogus"],
+                                 "num_seeds": 1}}),
+        ("compare", {"compare": {"axis": "depth", "variants": [2.7],
+                                 "num_seeds": 1}}),
+        ("compare", {"model.news_encoder.finetune_last_k": 1,
+                     "compare": {"axis": "depth", "variants": [True],
+                                 "num_seeds": 1}})],
         ids=["dataset", "model", "train", "learning_rate", "batch_size",
              "epochs_bool", "history_cap", "num_users", "markets",
              "test_fraction", "min_count", "eval_split", "seed_bool",
              "paths_entry", "markets_filter", "no_variants", "zero_seeds",
-             "num_seeds"])
+             "num_seeds", "pretraining_variant", "depth_variant_float",
+             "depth_variant_bool"])
     def test_wrong_json_type_is_config_error(self, runner, tmp_path, command,
                                              overrides):
         cfg = _write_config(tmp_path, overrides)
@@ -284,6 +303,49 @@ def test_every_spec_key_is_read_and_type_checked(runner, tmp_path, key,
     assert result.output.startswith("config error: ")
     assert result.output.count("\n") == 1
     assert key in result.output
+
+
+def _leaf_keys(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# JSON values small enough that a run which starts stays quick
+_LEAF_VALUES = st.one_of(
+    st.integers(-2, 12),
+    st.sampled_from(["", "x", "NaN", "mini_plm", "cnn", "self_attn", "cls",
+                     "average", "attention", "additive_attn", "nrms", "npa",
+                     "lstur", "gru"]),
+    st.sampled_from([0.5, 0.0, -1.0, 1e300, float("nan"), float("inf"),
+                     True, False, None, [], {}, _MISSING]))
+_ERROR_PREFIXES = ("config error: ", "data error: ", "numerical abort: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["train", "evaluate"]),
+       st.dictionaries(st.sampled_from(list(_leaf_keys(BASE_CONFIG))),
+                       _LEAF_VALUES, min_size=1, max_size=2))
+def test_mutated_config_ends_in_a_documented_exit(tmp_path_factory, command,
+                                                  overrides):
+    """One or two leaves of the base config set to another JSON value: the
+    run succeeds or ends in a documented exit code with one message line,
+    never a traceback."""
+    tmp_path = tmp_path_factory.mktemp("mutated")
+    cfg = _write_config(tmp_path, overrides)
+    result = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                       "--out", str(tmp_path / "x")])
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    if result.exit_code != 0:
+        assert isinstance(result.exception, SystemExit), result.exception
+        messages = [line for line in result.stderr.splitlines()
+                    if line.startswith(_ERROR_PREFIXES)]
+        assert len(messages) == 1, result.stderr
+        assert result.stderr.endswith(messages[0] + "\n")
 
 
 class TestGenData:
@@ -478,6 +540,72 @@ class TestTrainEvaluate:
         report = json.loads((ev / "report.json").read_text())
         for key in ("auc", "mrr", "ndcg5", "ndcg10"):
             assert report["means"][key] == 1.0
+
+
+class TestFromPretrained:
+    PLM = {"model.news_encoder.kind": "mini_plm",
+           "model.news_encoder.depth": 2,
+           "model.news_encoder.finetune_last_k": 1,
+           "train.mlm_epochs": 1}
+
+    def _run(self, runner, tmp_path, command, out, overrides, *extra):
+        cfg = _write_config(tmp_path, {**self.PLM, **overrides})
+        return runner.invoke(main, [command, "--config", str(cfg),
+                                    "--out", str(tmp_path / out), *extra])
+
+    def _pretrained(self, runner, tmp_path, **overrides):
+        result = self._run(runner, tmp_path, "pretrain", "pre", overrides)
+        assert result.exit_code == 0, result.output
+        return str(tmp_path / "pre" / "pretrained.ckpt")
+
+    @staticmethod
+    def _assert_one_line_error(result, code, message):
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(message)
+        assert result.output.count("\n") == 1
+
+    def test_frozen_tensors_equal_the_checkpoint(self, runner, tmp_path):
+        ckpt = self._pretrained(runner, tmp_path)
+        result = self._run(runner, tmp_path, "train", "run", {},
+                           "--from-pretrained", ckpt)
+        assert result.exit_code == 0, result.output
+        pretrained = load_checkpoint(ckpt)
+        trained = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        frozen = [k for k in pretrained
+                  if k in ("token_emb", "pos_emb") or k.startswith("block0.")]
+        assert len(frozen) > 2
+        for name in frozen:
+            assert np.array_equal(trained["news." + name], pretrained[name]), name
+        # block1 stays trainable: finetuning moved it off the checkpoint
+        assert not np.array_equal(trained["news.block1.ffn.w1"],
+                                  pretrained["block1.ffn.w1"])
+
+    def test_model_checkpoint_is_data_error(self, runner, tmp_path):
+        result = self._run(runner, tmp_path, "train", "run", {})
+        assert result.exit_code == 0, result.output
+        result = self._run(runner, tmp_path, "train", "again", {},
+                           "--from-pretrained",
+                           str(tmp_path / "run" / "model.ckpt"))
+        self._assert_one_line_error(
+            result, 3, "data error: checkpoint missing parameters")
+
+    def test_shallower_checkpoint_is_data_error(self, runner, tmp_path):
+        ckpt = self._pretrained(runner, tmp_path)
+        result = self._run(runner, tmp_path, "train", "run",
+                           {"model.news_encoder.depth": 4},
+                           "--from-pretrained", ckpt)
+        self._assert_one_line_error(
+            result, 3, "data error: checkpoint missing parameters: ['block2.")
+
+    def test_non_plm_encoder_is_config_error(self, runner, tmp_path):
+        ckpt = self._pretrained(runner, tmp_path)
+        result = self._run(runner, tmp_path, "train", "run",
+                           {"model.news_encoder.kind": "self_attn"},
+                           "--from-pretrained", ckpt)
+        self._assert_one_line_error(
+            result, 2, "config error: --from-pretrained requires "
+                       "news_encoder.kind=mini_plm")
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 """MIND-format parsing, synthetic corpus generation, and dataset splits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,10 @@ class TestSynthetic:
             SyntheticSpec(num_users=0)
         with pytest.raises(DataError):
             SyntheticSpec(markets=[])
+
+    def test_spec_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SyntheticSpec().num_users = 3
 
     def test_deterministic(self):
         spec = SyntheticSpec(num_users=15, num_news=40, impressions_per_user=4)

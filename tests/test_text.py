@@ -82,7 +82,6 @@ class TestTokenize:
         seq = tokenize("", build_vocab(["x"]), 4)
         assert seq.ids == [CLS_ID, PAD_ID, PAD_ID, PAD_ID]
         assert seq.mask == [1, 0, 0, 0]
-        assert seq.original_length == 1
 
     def test_punctuation_dropped(self):
         v = build_vocab(["hello world"])
@@ -91,11 +90,12 @@ class TestTokenize:
                            PAD_ID, PAD_ID]
         assert seq.mask == [1, 1, 1, 0, 0]
 
-    def test_truncation_records_original_length(self):
+    def test_truncation_keeps_the_first_tokens(self):
         title = " ".join(f"w{i}" for i in range(100))
-        seq = tokenize(title, build_vocab([title]), 8)
-        assert len(seq.ids) == 8
-        assert seq.original_length == 101
+        v = build_vocab([title])
+        seq = tokenize(title, v, 8)
+        assert seq.ids == [CLS_ID] + [v.lookup(f"w{i}") for i in range(7)]
+        assert seq.mask == [1] * 8
 
     def test_unknown_tokens(self):
         seq = tokenize("unseen words", build_vocab(["x"]), 4)
@@ -128,7 +128,7 @@ class TestMaskForMlm:
         ids = [CLS_ID] + [4 + i for i in range(n_real)]
         ids += [PAD_ID] * (m - len(ids))
         mask = [1] * (1 + n_real) + [0] * (m - 1 - n_real)
-        return TokenSequence(ids=ids, mask=mask, original_length=1 + n_real)
+        return TokenSequence(ids=ids, mask=mask)
 
     def test_forcing_rule(self):
         corrupted, targets = mask_for_mlm(self._seq(5), vocab_size=50,

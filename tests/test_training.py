@@ -1,5 +1,5 @@
-"""Sample construction, listwise loss, shard aggregation, training loop,
-and MLM pretraining."""
+"""Sample construction, listwise loss, training loop, and MLM
+pretraining."""
 
 import inspect
 import os
@@ -15,10 +15,10 @@ from newsrec import training
 from newsrec.data import Impression, SyntheticSpec, generate_synthetic
 from newsrec.encoders import NewsEncoderSpec, build_news_encoder
 from newsrec.model import ModelSpec, NewsTokenTable, Recommender
-from newsrec.tensor import ComputationTape, ShapeError, Tensor
+from newsrec.tensor import Adam, ComputationTape, Tensor
 from newsrec.text import build_vocab, tokenize
 from newsrec.training import (TrainConfig, _corrupt_batch, _masked_lm_loss,
-                              _row_samples, _shard_step, aggregate_shards,
+                              _row_samples, _shard_step, batch_loss,
                               build_training_samples, listwise_loss,
                               mlm_pretrain, train)
 from newsrec.users import UserEncoderSpec
@@ -118,31 +118,6 @@ class TestListwiseLoss:
         rows = [listwise_loss(Tensor(s), y).item()
                 for s, y in zip(scores, labels)]
         assert abs(batched - np.mean(rows)) < 1e-12
-
-
-class TestAggregateShards:
-    def test_single_shard_identity(self):
-        g = {"w": np.asarray([1.0, 2.0])}
-        out = aggregate_shards([g])
-        assert np.array_equal(out["w"], g["w"])
-
-    def test_identical_shards(self):
-        g = {"w": np.asarray([1.0, -2.0])}
-        out = aggregate_shards([g, {k: v.copy() for k, v in g.items()}])
-        assert np.array_equal(out["w"], g["w"])
-
-    def test_mean_of_distinct_shards(self):
-        out = aggregate_shards([{"w": np.asarray([2.0])},
-                                {"w": np.asarray([4.0])}])
-        assert np.array_equal(out["w"], [3.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            aggregate_shards([{"w": np.zeros(2)}, {"w": np.zeros(3)}])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_shards([])
 
 
 def _toy_setup(seed=0, n_users=12, n_news=40, ipu=6, news=None):
@@ -268,6 +243,116 @@ class TestDropout:
 
         assert losses(0.5) == losses(0.5)
         assert losses(0.5) != losses(0.0)
+
+
+# The train and mlm_pretrain loops as they were before both drove one shared
+# Adam loop, kept as the oracle that the shared loop changes no number.
+
+def _separate_train(model, table, samples, config):
+    rows = _row_samples(model, table, samples)
+    trainable = model.trainable_parameters()
+    opt = Adam(trainable, learning_rate=config.learning_rate)
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        rng = np.random.default_rng(config.seed * 1000003 + epoch)
+        order = rng.permutation(len(rows))
+        epoch_losses = []
+        for start in range(0, len(rows), config.batch_size):
+            batch = [rows[i] for i in order[start:start + config.batch_size]]
+            shards = config.shards if len(batch) % config.shards == 0 else 1
+            size = len(batch) // shards
+            shard_grads, losses = [], []
+            for s in range(shards):
+                rng = np.random.default_rng(
+                    (config.seed, epoch, start // config.batch_size, s))
+                with ComputationTape() as tape:
+                    loss = batch_loss(model, table,
+                                      batch[s * size:(s + 1) * size], rng=rng)
+                    shard_grads.append(tape.backward(loss, trainable))
+                losses.append(loss.item())
+            grads = {}
+            for name, g in shard_grads[0].items():
+                acc = g.copy()
+                for sg in shard_grads[1:]:
+                    acc += sg[name]
+                grads[name] = acc / len(shard_grads)
+            epoch_losses.append(float(np.mean(losses)))
+            opt.step(grads)
+        history.append(float(np.mean(epoch_losses)))
+    return history
+
+
+def _separate_mlm(sequences, encoder, vocab_size, epochs, learning_rate,
+                  batch_size, seed, mask_rate=0.15):
+    """(output bias, per-epoch losses, number of skipped batches)."""
+    out_bias = Tensor(np.zeros(vocab_size), requires_grad=True)
+    params = {**encoder.params, "mlm.out_bias": out_bias}
+    trainable = {k: p for k, p in params.items() if p.requires_grad}
+    opt = Adam(trainable, learning_rate=learning_rate)
+    epoch_losses, step, skipped = [], 0, 0
+    for epoch in range(epochs):
+        rng = np.random.default_rng(seed * 1000003 + epoch)
+        order = rng.permutation(len(sequences))
+        losses = []
+        for start in range(0, len(sequences), batch_size):
+            batch = [sequences[i] for i in order[start:start + batch_size]]
+            ids, mask, rows, targets = _corrupt_batch(
+                batch, vocab_size, mask_rate, seed * 7 + step)
+            rng = np.random.default_rng((seed, step))
+            step += 1
+            if len(rows) == 0:
+                skipped += 1
+                continue
+            with ComputationTape() as tape:
+                states = encoder.forward(ids, mask, rng=rng)
+                loss = _masked_lm_loss(states, rows, targets,
+                                       params["token_emb"], out_bias)
+                grads = tape.backward(loss, trainable)
+            losses.append(loss.item())
+            opt.step(grads)
+        epoch_losses.append(float(np.mean(losses)))
+    return out_bias, epoch_losses, skipped
+
+
+class TestSharedLoopMatchesSeparateLoops:
+    def test_train_with_dropout_shards_and_ragged_tail(self):
+        news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                               depth=2, pooling="attention", dropout=0.3)
+        # 37 samples in batches of 16: the tail of 5 cannot split in 2
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=16, shards=2,
+                          epochs=2, seed=5)
+        model, table, samples, _ = _toy_setup(seed=5, news=news)
+        oracle, _, _, _ = _toy_setup(seed=5, news=news)
+        losses = [r["train_loss"]
+                  for r in train(model, table, samples[:37], cfg).history]
+        assert losses == _separate_train(oracle, table, samples[:37], cfg)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, oracle.parameters()[name].data), name
+
+    def test_mlm_skips_a_batch_of_empty_titles(self):
+        titles = ["", ""] + [f"w{i} w{i+1} w{i+2}" for i in range(6)]
+        vocab = build_vocab(titles)
+        seqs = [tokenize(t, vocab, 8) for t in titles]
+        # a seed whose shuffles put both empty titles in one batch of 2
+        seed = next(s for s in range(100) if any(
+            set(np.random.default_rng(s * 1000003 + e).permutation(8)[b:b + 2])
+            == {0, 1} for e in range(2) for b in range(0, 8, 2)))
+        spec = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                               depth=1, finetune_last_k=1, pooling="cls",
+                               dropout=0.3)
+        enc = build_news_encoder(spec, vocab.size, 8, seed=0)
+        ref = build_news_encoder(spec, vocab.size, 8, seed=0)
+        bias, losses = mlm_pretrain(seqs, enc, vocab.size, epochs=2,
+                                    learning_rate=1e-2, batch_size=2,
+                                    seed=seed)
+        ref_bias, ref_losses, skipped = _separate_mlm(
+            seqs, ref, vocab.size, epochs=2, learning_rate=1e-2,
+            batch_size=2, seed=seed)
+        assert skipped >= 1
+        assert losses == ref_losses
+        assert np.array_equal(bias.data, ref_bias.data)
+        for name, p in enc.params.items():
+            assert np.array_equal(p.data, ref.params[name].data), name
 
 
 def test_mlm_pretrain_defaults_are_the_train_config_defaults():
