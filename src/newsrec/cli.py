@@ -118,7 +118,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     _check_section(cfg, "")
     return cfg
@@ -329,7 +329,7 @@ def _command(name: str, *options):
             except ConfigError as e:
                 click.echo(f"config error: {e}", err=True)
                 sys.exit(EXIT_CONFIG)
-            except (DataError, CheckpointError, FileNotFoundError) as e:
+            except (DataError, CheckpointError) as e:
                 click.echo(f"data error: {e}", err=True)
                 sys.exit(EXIT_DATA)
             except NumericalError as e:

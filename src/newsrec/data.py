@@ -79,6 +79,29 @@ class SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 
+def _read_rows(path):
+    """(line number, tab-separated fields) of each non-empty line of the
+    UTF-8 text file ``path``, read in text mode; a DataError names the path
+    if it cannot be read, and the first line that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line.split("\t")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        # read again, keeping each undecodable byte as a lone surrogate
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    break
+        raise DataError(f"{path}: line {lineno} is not UTF-8") from e
+
+
 def parse_news_tsv(path, market: str = "EN-US"):
     """Parse a news TSV (id, category, subcategory, title, ...).
 
@@ -88,23 +111,18 @@ def parse_news_tsv(path, market: str = "EN-US"):
     articles: list[NewsArticle] = []
     malformed: list[tuple[int, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 4:
-                malformed.append((lineno, f"expected >=4 columns, got {len(cols)}"))
-                continue
-            news_id = cols[0]
-            if news_id in seen:
-                malformed.append((lineno, f"duplicate news id {news_id!r}"))
-                continue
-            seen.add(news_id)
-            articles.append(NewsArticle(news_id=news_id, category=cols[1],
-                                        subcategory=cols[2], title=cols[3],
-                                        market=market))
+    for lineno, cols in _read_rows(path):
+        if len(cols) < 4:
+            malformed.append((lineno, f"expected >=4 columns, got {len(cols)}"))
+            continue
+        news_id = cols[0]
+        if news_id in seen:
+            malformed.append((lineno, f"duplicate news id {news_id!r}"))
+            continue
+        seen.add(news_id)
+        articles.append(NewsArticle(news_id=news_id, category=cols[1],
+                                    subcategory=cols[2], title=cols[3],
+                                    market=market))
     return articles, malformed
 
 
@@ -116,36 +134,31 @@ def parse_behaviors_tsv(path):
     """
     impressions: list[Impression] = []
     malformed: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 5:
-                malformed.append((lineno, f"expected 5 columns, got {len(cols)}"))
-                continue
-            imp_id, user_id, ts, hist_field, cand_field = cols[:5]
-            history = hist_field.split() if hist_field.strip() else []
-            candidates: list[tuple[str, int]] = []
-            bad = None
-            for tok in cand_field.split():
-                if tok.endswith("-1"):
-                    candidates.append((tok[:-2], 1))
-                elif tok.endswith("-0"):
-                    candidates.append((tok[:-2], 0))
-                else:
-                    bad = f"candidate {tok!r} missing click suffix"
-                    break
-            if bad:
-                malformed.append((lineno, bad))
-                continue
-            if not candidates:
-                malformed.append((lineno, "empty candidate list"))
-                continue
-            impressions.append(Impression(impression_id=imp_id, user_id=user_id,
-                                          timestamp=ts, history=history,
-                                          candidates=candidates))
+    for lineno, cols in _read_rows(path):
+        if len(cols) < 5:
+            malformed.append((lineno, f"expected 5 columns, got {len(cols)}"))
+            continue
+        imp_id, user_id, ts, hist_field, cand_field = cols[:5]
+        history = hist_field.split() if hist_field.strip() else []
+        candidates: list[tuple[str, int]] = []
+        bad = None
+        for tok in cand_field.split():
+            if tok.endswith("-1"):
+                candidates.append((tok[:-2], 1))
+            elif tok.endswith("-0"):
+                candidates.append((tok[:-2], 0))
+            else:
+                bad = f"candidate {tok!r} missing click suffix"
+                break
+        if bad:
+            malformed.append((lineno, bad))
+            continue
+        if not candidates:
+            malformed.append((lineno, "empty candidate list"))
+            continue
+        impressions.append(Impression(impression_id=imp_id, user_id=user_id,
+                                      timestamp=ts, history=history,
+                                      candidates=candidates))
     return impressions, malformed
 
 

@@ -76,6 +76,35 @@ def _pin_blas_threads() -> bool:
 
 BLAS_PINNED = _pin_blas_threads()
 
+# glibc's mallopt parameters and the values they are fixed at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 512 << 20
+_MMAP_THRESHOLD = 32 << 20  # mallopt(3)'s documented maximum on 64-bit
+
+
+def _keep_freed_memory() -> bool:
+    """Keep the memory one training step frees for the next; False if the
+    C library has no ``mallopt`` or rejects it.
+
+    glibc gives the free top of its heap back to the kernel, and serves
+    large blocks by their own ``mmap``, unmapped again on free.  Both
+    thresholds move with the sizes freed so far, so each step's tape and
+    temporaries are returned when the step ends and faulted in again by
+    the next step.  Fixing both thresholds turns that adjustment off.
+    """
+    if os.name != "posix":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
+HEAP_KEPT = _keep_freed_memory()
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -872,11 +901,16 @@ def save_checkpoint(path, params: dict[str, Tensor]):
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Raises CheckpointError on a bad magic number and on a file that ends
-    inside a record.
+    Raises CheckpointError on a file that cannot be read, on a bad magic
+    number and on a file that ends inside a record.
     """
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: "
+                              f"{e.strerror or e}") from e
+    with f:
         size = os.fstat(f.fileno()).st_size
 
         def read(n: int) -> bytes:

@@ -9,6 +9,7 @@ the unsharded gradient up to float reassociation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,10 @@ class TrainConfig:
         if self.batch_size % self.shards != 0:
             raise ValueError("batch_size must be divisible by shards")
         for name in ("learning_rate", "mlm_learning_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value!r}")
         if not 0.0 < self.mlm_rate < 1.0:
             raise ValueError("mlm_rate must be in (0, 1)")
 

@@ -87,6 +87,15 @@ class TestConfigValidation:
                                       str(tmp_path / "absent.json")])
         assert result.exit_code == 2
 
+    def test_non_utf8_config_is_config_error(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        result = runner.invoke(main, ["train", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: cannot read config")
+        assert result.output.count("\n") == 1
+
     def test_missing_dataset_section(self, runner, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": 1}')
@@ -152,7 +161,14 @@ class TestConfigValidation:
                    "model.news_encoder.conv_window": -1}),
         ("train", {"train.learning_rate": -1}),
         ("pretrain", {"model.news_encoder.kind": "mini_plm",
-                      "train.mlm_learning_rate": -1})],
+                      "train.mlm_learning_rate": -1}),
+        ("train", {"train.learning_rate": float("nan")}),
+        ("train", {"train.learning_rate": float("inf")}),
+        ("train", {"train.learning_rate": float("-inf")}),
+        ("pretrain", {"model.news_encoder.kind": "mini_plm",
+                      "train.mlm_learning_rate": float("nan")}),
+        ("pretrain", {"model.news_encoder.kind": "mini_plm",
+                      "train.mlm_learning_rate": float("inf")})],
         ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
              "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
              "seed", "mlm_rate_under_train", "test_fraction_2",
@@ -160,7 +176,9 @@ class TestConfigValidation:
              "max_size_negative", "min_count_0", "click_temperature_0",
              "click_temperature_negative", "user_topic_concentration",
              "candidates_per_impression", "num_news", "conv_window",
-             "learning_rate", "mlm_learning_rate"])
+             "learning_rate", "mlm_learning_rate", "learning_rate_nan",
+             "learning_rate_infinity", "learning_rate_minus_infinity",
+             "mlm_learning_rate_nan", "mlm_learning_rate_infinity"])
     def test_out_of_range_value_is_config_error(self, runner, tmp_path,
                                                 command, overrides):
         cfg = _write_config(tmp_path, overrides)
@@ -252,6 +270,36 @@ class TestConfigValidation:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
         assert "data error: empty training sample set" in result.output
+
+    @pytest.mark.parametrize("which,content,message", [
+        ("news", b"N0\tcat\tsub\tword\n\xff\xfe\n",
+         "news.tsv: line 2 is not UTF-8"),
+        ("behaviors", b"\xff\xfe", "behaviors.tsv: line 1 is not UTF-8"),
+        ("news", None, "Is a directory")],
+        ids=["news_not_utf8", "behaviors_not_utf8", "news_is_directory"])
+    def test_unreadable_data_file_is_data_error(self, runner, tmp_path, which,
+                                                content, message):
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["gen-data", "--config",
+                                      str(_write_config(tmp_path)),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        path = out / f"{which}.tsv"
+        if content is None:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        cfg = _write_config(tmp_path, {"dataset": {"paths": [
+            {"news": str(out / "news.tsv"),
+             "behaviors": str(out / "behaviors.tsv")}]}})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("data error: ")
+        assert message in result.output
+        assert result.output.count("\n") == 1
 
     def test_missing_data_file(self, runner, tmp_path):
         cfg = {"seed": 1, "dataset": {"paths": [
@@ -503,6 +551,23 @@ class TestTrainEvaluate:
             assert result.exit_code == 3
             assert "truncated checkpoint" in result.output
 
+    @pytest.mark.parametrize("name,message", [
+        ("absent.ckpt", "No such file"), ("", "Is a directory")])
+    def test_unreadable_checkpoint_is_data_error(self, runner, tmp_path, name,
+                                                 message):
+        cfg = _write_config(tmp_path)
+        for command in ("evaluate", "export-embeddings"):
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(tmp_path / command),
+                                          "--checkpoint",
+                                          str(tmp_path / name)])
+            assert result.exit_code == 3, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert result.output.startswith("data error: cannot read "
+                                            "checkpoint")
+            assert message in result.output
+            assert result.output.count("\n") == 1
+
     def test_all_empty_histories_evaluate(self, runner, tmp_path):
         # one impression per user: every history is empty, so every
         # user-encoder batch holds only cold-start rows
@@ -597,6 +662,12 @@ class TestFromPretrained:
                            "--from-pretrained", ckpt)
         self._assert_one_line_error(
             result, 3, "data error: checkpoint missing parameters: ['block2.")
+
+    def test_directory_checkpoint_is_data_error(self, runner, tmp_path):
+        result = self._run(runner, tmp_path, "train", "run", {},
+                           "--from-pretrained", str(tmp_path))
+        self._assert_one_line_error(
+            result, 3, "data error: cannot read checkpoint")
 
     def test_non_plm_encoder_is_config_error(self, runner, tmp_path):
         ckpt = self._pretrained(runner, tmp_path)

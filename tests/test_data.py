@@ -1,14 +1,19 @@
 """MIND-format parsing, synthetic corpus generation, and dataset splits."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newsrec.data import (DataError, SyntheticSpec, dataset_summary,
-                          generate_synthetic, parse_behaviors_tsv,
-                          parse_news_tsv, split_dataset, validate_dataset,
-                          write_behaviors_tsv, write_news_tsv)
+from newsrec.cli import main
+from newsrec.data import (DataError, Impression, NewsArticle, SyntheticSpec,
+                          dataset_summary, generate_synthetic,
+                          parse_behaviors_tsv, parse_news_tsv, split_dataset,
+                          validate_dataset, write_behaviors_tsv, write_news_tsv)
 from newsrec.text import split_words
 
 
@@ -41,8 +46,23 @@ class TestParseNews:
         assert bad == [] and arts[0].title == "title"
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(DataError, match="absent.tsv"):
             parse_news_tsv(tmp_path / "absent.tsv")
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="Is a directory"):
+            parse_news_tsv(tmp_path)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "news.tsv"
+        path.write_bytes(b"N1\ta\tb\tfirst\r\nN2\ta\tb\tse\xff\xfecond\n")
+        with pytest.raises(DataError, match=r"news.tsv: line 2 is not UTF-8"):
+            parse_news_tsv(path)
+
+    def test_newlines_read_as_in_text_mode(self, tmp_path):
+        arts, bad = self._parse(tmp_path, "N1\ta\tb\tone\r\nN2\ta\tb\ttwo\r"
+                                          "N3\ta\tb\tthree\n")
+        assert bad == [] and [a.title for a in arts] == ["one", "two", "three"]
 
 
 class TestParseBehaviors:
@@ -68,6 +88,16 @@ class TestParseBehaviors:
         assert imps == []
         assert "suffix" in bad[0][1]
 
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "behaviors.tsv"
+        path.write_bytes(b"1\tU1\tts\tN1\tN3-1\r\r\xc3\tU1\tts\t\tN3-1\r")
+        with pytest.raises(DataError, match=r"behaviors.tsv: line 3 is not"):
+            parse_behaviors_tsv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="absent.tsv"):
+            parse_behaviors_tsv(tmp_path / "absent.tsv")
+
 
 class TestRoundTrip:
     def test_tsv_round_trip(self, tmp_path):
@@ -85,6 +115,99 @@ class TestRoundTrip:
                 for i in imps2] \
             == [(i.impression_id, i.user_id, i.history, i.candidates)
                 for i in imps]
+
+
+# A TSV field holds anything but the tab and line breaks that delimit it; an
+# id also holds no whitespace, since histories and candidates are split on it.
+_FIELD = st.text(st.characters(exclude_categories=("Cs",),
+                               exclude_characters="\t\r\n"), max_size=8)
+_ID = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+              min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.builds(NewsArticle, _ID, _FIELD, _FIELD, _FIELD),
+                max_size=5, unique_by=lambda a: a.news_id))
+def test_news_tsv_round_trip(tmp_path_factory, articles):
+    path = tmp_path_factory.mktemp("news") / "news.tsv"
+    write_news_tsv(path, articles)
+    assert parse_news_tsv(path) == (articles, [])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    Impression, _FIELD, _FIELD, _FIELD, st.lists(_ID, max_size=4),
+    st.lists(st.tuples(_ID, st.sampled_from([0, 1])), min_size=1, max_size=4)),
+    max_size=5))
+def test_behaviors_tsv_round_trip(tmp_path_factory, impressions):
+    path = tmp_path_factory.mktemp("behaviors") / "behaviors.tsv"
+    write_behaviors_tsv(path, impressions)
+    assert parse_behaviors_tsv(path) == (impressions, [])
+
+
+_TRAIN_CONFIG = {
+    "seed": 5,
+    "model": {"news_encoder": {"kind": "cnn", "d_model": 8},
+              "user_encoder": {"kind": "additive_attn"}, "max_title_len": 8},
+    "train": {"learning_rate": 0.003, "batch_size": 32, "epochs": 1},
+}
+
+
+def _corrupt(blob, edits):
+    """``blob`` with each (kind, n) edit applied in turn: cut it at offset n,
+    drop the n-th tab, insert a tab at offset n, or insert a byte that is
+    not valid UTF-8 there."""
+    for kind, n in edits:
+        at = n % (len(blob) + 1)
+        if kind == "truncate":
+            blob = blob[:at]
+        elif kind == "drop_tab":
+            tabs = [i for i, b in enumerate(blob) if b == 9]
+            if tabs:
+                i = tabs[n % len(tabs)]
+                blob = blob[:i] + blob[i + 1:]
+        elif kind == "extra_tab":
+            blob = blob[:at] + b"\t" + blob[at:]
+        else:
+            blob = blob[:at] + kind + blob[at:]
+    return blob
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["truncate", "drop_tab",
+                                             "extra_tab", b"\xff", b"\xc3",
+                                             b"\xe2\x82"]),
+                            st.integers(0, 10**6)), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["news", "behaviors"]), _EDITS)
+def test_corrupted_tsv_warns_or_is_data_error(tmp_path_factory, which, edits):
+    """``train`` on a corpus whose news or behaviors bytes were truncated,
+    lost or gained tabs, or gained non-UTF-8 bytes: it trains, or exits 3
+    with one error line, after at most a malformed-line warning; never a
+    traceback."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    arts, imps = generate_synthetic(SyntheticSpec(
+        num_users=16, num_news=40, impressions_per_user=5,
+        candidates_per_impression=4, seed=5))["EN-US"]
+    write_news_tsv(tmp / "news.tsv", arts)
+    write_behaviors_tsv(tmp / "behaviors.tsv", imps)
+    path = tmp / f"{which}.tsv"
+    path.write_bytes(_corrupt(path.read_bytes(), edits))
+    cfg = dict(_TRAIN_CONFIG, dataset={"paths": [
+        {"news": str(tmp / "news.tsv"),
+         "behaviors": str(tmp / "behaviors.tsv")}]})
+    (tmp / "config.json").write_text(json.dumps(cfg))
+    result = CliRunner().invoke(main, ["train", "--config",
+                                       str(tmp / "config.json"),
+                                       "--out", str(tmp / "out")])
+    assert result.exit_code in (0, 3), result.output
+    lines = result.stderr.splitlines()
+    if result.exit_code == 3:
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert lines[-1].startswith("data error: "), lines
+        lines = lines[:-1]
+    assert all(line.startswith("warning: ") for line in lines), lines
 
 
 class TestSynthetic:

@@ -365,6 +365,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(CheckpointError, match="No such file"):
+            load_checkpoint(tmp_path / "absent.ckpt")
+        with pytest.raises(CheckpointError, match="Is a directory"):
+            load_checkpoint(tmp_path)
+
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(
         st.text(max_size=12),
