@@ -72,6 +72,10 @@ class SyntheticSpec:
         if self.click_temperature <= 0 or self.user_topic_concentration <= 0:
             raise DataError("click_temperature and user_topic_concentration "
                             "must be > 0")
+        tags = {_market_tag(m) for m in self.markets}
+        if "" in self.markets or len(tags) < len(self.markets):
+            raise DataError("markets must be non-empty and distinct with '-' "
+                            f"dropped and case ignored, got {self.markets}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,11 @@ def validate_dataset(articles: list[NewsArticle], impressions: list[Impression])
 # ---------------------------------------------------------------------------
 
 
+def _market_tag(market: str) -> str:
+    """The prefix that makes a market's synthetic tokens its own."""
+    return market.replace("-", "").lower()
+
+
 def _render_token(market_tag: str, kind: str, topic: int, j: int) -> str:
     if kind == "topic":
         return f"{market_tag}t{topic}w{j}"
@@ -251,7 +260,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
     out = {}
     for market in spec.markets:
-        tag = market.replace("-", "").lower()
+        tag = _market_tag(market)
         prefix = "" if len(spec.markets) == 1 else f"{market}:"
         articles = []
         for i in range(n_news):

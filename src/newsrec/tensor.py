@@ -192,6 +192,7 @@ class ComputationTape:
 
     def __init__(self):
         self.entries: list[_Entry] = []
+        self._live: set[int] = set()  # ids of live entries' outputs
         self._consumed = False
 
     def __enter__(self):
@@ -206,8 +207,10 @@ class ComputationTape:
                  params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """The gradient of ``loss`` for each leaf tensor in ``params``, by name.
 
-        Only entries downstream of a requires_grad tensor are
-        back-propagated; the rest stay on the tape but cost nothing here.
+        Only live entries are back-propagated, and liveness is fixed when
+        an op is recorded (see ``_record``): setting ``requires_grad`` on a
+        tensor already used on an open tape does not change that tape.
+        Each closure is dropped once visited, freeing what only it held.
         A tensor the loss does not reach gets exact zeros.  Calling
         backward twice on the same tape is an error.
         """
@@ -219,21 +222,13 @@ class ComputationTape:
         if not np.isfinite(loss.data):
             raise NumericalError("loss is non-finite")
 
-        # outputs of live entries: some input requires grad or is itself
-        # such an output; a dead entry's input gradients reach no parameter
-        live: set[int] = set()
-        for entry in self.entries:
-            if any(isinstance(inp, Tensor)
-                   and (inp.requires_grad or id(inp) in live)
-                   for inp in entry.inputs):
-                live.add(id(entry.output))
-
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for entry in reversed(self.entries):
+            backward_fn, entry.backward_fn = entry.backward_fn, None
             g_out = grads.pop(id(entry.output), None)
-            if g_out is None or id(entry.output) not in live:
+            if g_out is None or backward_fn is None:
                 continue
-            in_grads = entry.backward_fn(g_out)
+            in_grads = backward_fn(g_out)
             for inp, g in zip(entry.inputs, in_grads):
                 if g is None or not isinstance(inp, Tensor):
                     continue
@@ -249,8 +244,17 @@ def _tape() -> ComputationTape | None:
 
 
 def _record(inputs, out: Tensor, backward_fn):
+    # liveness is fixed here, when the op runs (apply_finetune_policy sets
+    # requires_grad before any tape): an entry with no trainable or live
+    # input keeps no closure, so what the closure captured is freed now
     t = _tape()
     if t is not None:
+        if any(isinstance(inp, Tensor)
+               and (inp.requires_grad or id(inp) in t._live)
+               for inp in inputs):
+            t._live.add(id(out))
+        else:
+            backward_fn = None
         t.entries.append(_Entry(inputs, out, backward_fn))
     return out
 

@@ -168,7 +168,10 @@ class TestConfigValidation:
         ("pretrain", {"model.news_encoder.kind": "mini_plm",
                       "train.mlm_learning_rate": float("nan")}),
         ("pretrain", {"model.news_encoder.kind": "mini_plm",
-                      "train.mlm_learning_rate": float("inf")})],
+                      "train.mlm_learning_rate": float("inf")}),
+        ("gen-data", {"dataset.synthetic.markets": [""]}),
+        ("gen-data", {"dataset.synthetic.markets": ["en-us", "en-us"]}),
+        ("gen-data", {"dataset.synthetic.markets": ["EN-US", "en-us"]})],
         ids=["epochs", "batch_size", "shards", "max_title_len", "split_policy",
              "eval_split", "mlm_rate", "mlm_epochs", "path_without_news",
              "seed", "mlm_rate_under_train", "test_fraction_2",
@@ -178,7 +181,8 @@ class TestConfigValidation:
              "candidates_per_impression", "num_news", "conv_window",
              "learning_rate", "mlm_learning_rate", "learning_rate_nan",
              "learning_rate_infinity", "learning_rate_minus_infinity",
-             "mlm_learning_rate_nan", "mlm_learning_rate_infinity"])
+             "mlm_learning_rate_nan", "mlm_learning_rate_infinity",
+             "market_empty", "market_repeated", "markets_same_tag"])
     def test_out_of_range_value_is_config_error(self, runner, tmp_path,
                                                 command, overrides):
         cfg = _write_config(tmp_path, overrides)

@@ -217,6 +217,12 @@ class TestSynthetic:
         with pytest.raises(DataError):
             SyntheticSpec(markets=[])
 
+    @pytest.mark.parametrize("markets", [[""], ["EN-US", ""], ["en-us", "en-us"],
+                                         ["EN-US", "en-us"], ["EN-US", "ENUS"]])
+    def test_markets_must_have_distinct_tags(self, markets):
+        with pytest.raises(DataError, match="markets must be non-empty"):
+            SyntheticSpec(markets=markets)
+
     def test_spec_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SyntheticSpec().num_users = 3

@@ -243,12 +243,28 @@ class TestBackward:
             dead = Tensor(frozen.data * 2.0)
             T._record((frozen,), dead, refuse)
             loss = T.reduce_sum((T.tanh(dead) @ w) * 2.0)
+            T.tanh(w)  # live, but the loss does not use it
             recorded = len(tape.entries)
+            # the two entries without a trainable or live input are
+            # recorded without their closures
+            assert [e.backward_fn is None for e in tape.entries] == [
+                True, True, False, False, False, False]
             grads = tape.backward(loss, {"w": w, "frozen": frozen})
-        assert len(tape.entries) == recorded == 5
+            assert all(e.backward_fn is None for e in tape.entries)
+            with pytest.raises(RuntimeError):
+                tape.backward(loss, {"w": w})
+        assert len(tape.entries) == recorded == 6
         assert np.array_equal(grads["w"],
                               2.0 * np.tanh(dead.data).T @ np.ones((2, 2)))
         assert np.array_equal(grads["frozen"], np.zeros((2, 2)))
+
+    def test_liveness_is_fixed_when_an_op_is_recorded(self):
+        x = Tensor([1.0, 2.0])
+        with ComputationTape() as tape:
+            loss = T.reduce_sum(T.tanh(x))
+            x.requires_grad = True
+            grads = tape.backward(loss, {"x": x})
+        assert np.array_equal(grads["x"], [0.0, 0.0])
 
     def test_unused_parameter_gets_zero_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -428,7 +444,7 @@ class TestKernelsBitwise:
     def test_gelu(self):
         from scipy.special import erf
         x, g = self.x, self.g
-        out, (gx,) = self._run(T.gelu, Tensor(x))
+        out, (gx,) = self._run(T.gelu, Tensor(x, requires_grad=True))
         phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
         assert np.array_equal(out, x * phi)
@@ -436,7 +452,7 @@ class TestKernelsBitwise:
 
     def test_softmax(self):
         x, g = self.x, self.g
-        out, (gx,) = self._run(T.softmax, Tensor(x))
+        out, (gx,) = self._run(T.softmax, Tensor(x, requires_grad=True))
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         y = e / e.sum(axis=-1, keepdims=True)
         assert np.array_equal(out, y)
@@ -444,7 +460,7 @@ class TestKernelsBitwise:
 
     def test_log_softmax(self):
         x, g = self.x, self.g
-        out, (gx,) = self._run(T.log_softmax, Tensor(x))
+        out, (gx,) = self._run(T.log_softmax, Tensor(x, requires_grad=True))
         z = x - x.max(axis=-1, keepdims=True)
         y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         assert np.array_equal(out, y)
@@ -452,7 +468,7 @@ class TestKernelsBitwise:
 
     def test_tanh(self):
         x, g = self.x, self.g
-        out, (gx,) = self._run(T.tanh, Tensor(x))
+        out, (gx,) = self._run(T.tanh, Tensor(x, requires_grad=True))
         y = np.tanh(x)
         assert np.array_equal(out, y)
         assert np.array_equal(gx, g * (1.0 - y * y))
@@ -460,7 +476,7 @@ class TestKernelsBitwise:
     def test_sigmoid(self):
         from scipy.special import expit
         x, g = self.x, self.g
-        out, (gx,) = self._run(T.sigmoid, Tensor(x))
+        out, (gx,) = self._run(T.sigmoid, Tensor(x, requires_grad=True))
         y = expit(x)
         assert np.max(np.abs(out - 1.0 / (1.0 + np.exp(-x))) / out) < 1e-15
         assert np.array_equal(out, y)
@@ -469,8 +485,9 @@ class TestKernelsBitwise:
     def test_layer_norm(self):
         x, g = self.x, self.g
         gain, bias = self.rng.normal(size=6), self.rng.normal(size=6)
-        out, (gx, g_gain, g_bias) = self._run(T.layer_norm, Tensor(x),
-                                              Tensor(gain), Tensor(bias))
+        out, (gx, g_gain, g_bias) = self._run(
+            T.layer_norm, Tensor(x, requires_grad=True),
+            Tensor(gain, requires_grad=True), Tensor(bias, requires_grad=True))
         xc = x - x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
         xhat = xc * inv

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,27 @@ class TestTrain:
                                           (0,))
         for name in trainable:
             assert np.array_equal(frozen_run[name], all_trainable_run[name]), name
+
+    def test_frozen_blocks_keep_no_backward_memory(self):
+        """A step that trains the top 2 of 4 blocks peaks well below one
+        that trains all 4: the frozen ops keep no backward closure."""
+        def peak_bytes(k):
+            news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                                   depth=4, pooling="attention",
+                                   finetune_last_k=k)
+            model, table, samples, _ = _toy_setup(seed=3, n_news=150,
+                                                  news=news)
+            rows = _row_samples(model, table, samples[:64])
+            model.apply_finetune_policy()
+            trainable = model.trainable_parameters()
+            tracemalloc.start()
+            try:
+                _shard_step(model, table, rows, 1, trainable, (0,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(2) < 0.9 * peak_bytes(4)
 
 
 class TestDropout:
