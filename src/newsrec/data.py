@@ -182,8 +182,14 @@ def write_behaviors_tsv(path, impressions: list[Impression]):
 
 
 def validate_dataset(articles: list[NewsArticle], impressions: list[Impression]):
-    """Every history/candidate id must exist in the news table."""
-    known = {a.news_id for a in articles}
+    """Every news id must be unique across markets, and every history and
+    candidate id must exist in the news table."""
+    known: dict[str, str] = {}  # news id -> market
+    for a in articles:
+        if a.news_id in known:
+            raise DataError(f"news id {a.news_id!r} is in both "
+                            f"{known[a.news_id]} and {a.market}")
+        known[a.news_id] = a.market
     for imp in impressions:
         for nid in imp.history:
             if nid not in known:

@@ -168,13 +168,18 @@ class CnnNewsEncoder(NewsEncoderBase):
         self.params["conv.b"] = _zeros(d)
 
     def forward(self, ids, mask, rng=None):
-        w = self.spec.conv_window
+        half = self.spec.conv_window // 2
+        B, M = ids.shape
         m = mask.astype(np.float64)[..., None]
         x = T.embedding_lookup(self.params["token_emb"], ids) * m
         x = self._dropout(x, rng)
+        # each title zero-padded by half a window on both sides; the window
+        # at offset o of position j is row j + o of the title's own rows
+        rows = np.arange(B)[:, None] * (M + 2 * half) + half + np.arange(M)
+        padded = T.scatter_rows(x, rows, (B, M + 2 * half))
         acc = None
-        for o in range(-(w // 2), w // 2 + 1):
-            xo = x if o == 0 else T.shift_rows(x, -o, axis=-2)
+        for o in range(-half, half + 1):
+            xo = T.narrow(padded, 1, half + o, M)
             term = xo @ self.params[f"conv.w{o:+d}"]
             acc = term if acc is None else acc + term
         return T.relu(acc + self.params["conv.b"]) * m

@@ -44,7 +44,6 @@ __all__ = [
     "reshape",
     "permute",
     "narrow",
-    "shift_rows",
     "dropout",
     "gradient_check",
     "save_checkpoint",
@@ -192,7 +191,6 @@ class ComputationTape:
 
     def __init__(self):
         self.entries: list[_Entry] = []
-        self._live: set[int] = set()  # ids of live entries' outputs
         self._consumed = False
 
     def __enter__(self):
@@ -207,9 +205,10 @@ class ComputationTape:
                  params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """The gradient of ``loss`` for each leaf tensor in ``params``, by name.
 
-        Only live entries are back-propagated, and liveness is fixed when
-        an op is recorded (see ``_record``): setting ``requires_grad`` on a
-        tensor already used on an open tape does not change that tape.
+        Only entries whose output requires grad are back-propagated, and
+        that flag is fixed when an op is recorded (see ``_record``): setting
+        ``requires_grad`` on a tensor already used on an open tape does not
+        change that tape.
         Each closure is dropped once visited, freeing what only it held.
         A tensor the loss does not reach gets exact zeros.  Calling
         backward twice on the same tape is an error.
@@ -244,18 +243,16 @@ def _tape() -> ComputationTape | None:
 
 
 def _record(inputs, out: Tensor, backward_fn):
-    # liveness is fixed here, when the op runs (apply_finetune_policy sets
-    # requires_grad before any tape): an entry with no trainable or live
-    # input keeps no closure, so what the closure captured is freed now
+    # on a tape, the output requires grad iff some input does, fixed here
+    # when the op runs (apply_finetune_policy sets requires_grad before any
+    # tape); an entry whose output does not keeps no closure, so what the
+    # closure captured is freed now
     t = _tape()
     if t is not None:
-        if any(isinstance(inp, Tensor)
-               and (inp.requires_grad or id(inp) in t._live)
-               for inp in inputs):
-            t._live.add(id(out))
-        else:
-            backward_fn = None
-        t.entries.append(_Entry(inputs, out, backward_fn))
+        out.requires_grad = any(isinstance(inp, Tensor) and inp.requires_grad
+                                for inp in inputs)
+        t.entries.append(_Entry(inputs, out,
+                                backward_fn if out.requires_grad else None))
     return out
 
 
@@ -562,7 +559,8 @@ def attention(x, rows, key_bias, wq, bq, wk, bk, wv, bv, wo, bo,
 
 
 def scatter_rows(x, rows, shape) -> Tensor:
-    """The (R, d) rows of ``x`` placed at flat positions ``rows`` of a zero
+    """The rows of ``x`` (along its last axis, d wide) placed at flat
+    positions ``rows``, shaped as ``x``'s leading axes, of a zero
     ``shape + (d,)`` array; backward gathers those rows of the gradient."""
     xd = _data(x)
     n, d = math.prod(shape), xd.shape[-1]
@@ -581,14 +579,12 @@ def scatter_rows(x, rows, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     xd = _data(x)
-    out = Tensor._make(xd.sum(axis=axis, keepdims=keepdims))
+    out = Tensor._make(xd.sum(axis=axis))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, xd.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, xd.shape).copy(),)
 
     return _record((x,), out, bwd)
@@ -615,12 +611,6 @@ def permute(x, axes) -> Tensor:
     return _record((x,), out, bwd)
 
 
-def transpose_last(x) -> Tensor:
-    axes = list(range(_data(x).ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(x, axes)
-
-
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``."""
     xd = _data(x)
@@ -633,35 +623,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
         full = np.zeros_like(xd)
         full[idx] = g
         return (full,)
-
-    return _record((x,), out, bwd)
-
-
-def shift_rows(x, offset: int, axis: int = -2) -> Tensor:
-    """Shift entries by ``offset`` along ``axis``, zero-filling the gap."""
-    xd = _data(x)
-    out_arr = np.zeros_like(xd)
-    n = xd.shape[axis]
-    if abs(offset) < n:
-        src = [slice(None)] * xd.ndim
-        dst = [slice(None)] * xd.ndim
-        if offset >= 0:
-            dst[axis] = slice(offset, n)
-            src[axis] = slice(0, n - offset)
-        else:
-            dst[axis] = slice(0, n + offset)
-            src[axis] = slice(-offset, n)
-        out_arr[tuple(dst)] = xd[tuple(src)]
-        src, dst = tuple(src), tuple(dst)
-    else:
-        src = dst = None
-    out = Tensor._make(out_arr)
-
-    def bwd(g):
-        gx = np.zeros_like(xd)
-        if src is not None:
-            gx[src] = g[dst]
-        return (gx,)
 
     return _record((x,), out, bwd)
 

@@ -245,9 +245,11 @@ def train(model: Recommender, table: NewsTokenTable,
         valid_loss = float("nan")
         valid_auc = float("nan")
         if valid_rows is not None:
-            vloss = [batch_loss(model, table, valid_rows[i:i + 256]).item()
-                     for i in range(0, len(valid_rows), 256)]
-            valid_loss = float(np.mean(vloss))
+            chunks = [valid_rows[i:i + 256]
+                      for i in range(0, len(valid_rows), 256)]
+            valid_loss = float(np.average(
+                [batch_loss(model, table, c).item() for c in chunks],
+                weights=[len(c) for c in chunks]))
             report = evaluation.evaluate(model, valid_impressions, table)
             valid_auc = report.means["auc"]
         result.history.append(dict(epoch=epoch, train_loss=train_loss,
@@ -315,7 +317,7 @@ def _masked_lm_loss(states: Tensor, rows: np.ndarray, targets: np.ndarray,
     """
     B, M, d = states.shape
     hidden = T.embedding_lookup(T.reshape(states, (B * M, d)), rows)
-    logits = T.matmul(hidden, T.transpose_last(token_emb), out_bias)
+    logits = T.matmul(hidden, T.permute(token_emb, (1, 0)), out_bias)
     return listwise_loss(logits, targets)
 
 

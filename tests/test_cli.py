@@ -471,6 +471,26 @@ class TestDatasetPaths:
         assert result.output.startswith(
             "data error: markets_filter references unknown markets ['FR-FR']")
 
+    def test_news_id_shared_by_two_markets_is_data_error(self, runner,
+                                                         tmp_path):
+        paths = []
+        for market, category, title in (("EN-US", "news", "storm hits coast"),
+                                        ("DE-DE", "sport", "sieg im finale")):
+            news = tmp_path / f"news.{market}.tsv"
+            news.write_text(f"N1\t{category}\tsub\t{title}\n"
+                            f"N2{market}\t{category}\tsub\t{title} again\n")
+            behaviors = tmp_path / f"behaviors.{market}.tsv"
+            behaviors.write_text(f"I{market}\tU1\t2020-12-01T00:00:00\tN1\t"
+                                 f"N2{market}-1 N1-0\n")
+            paths.append({"market": market, "news": str(news),
+                          "behaviors": str(behaviors)})
+        cfg = _write_config(tmp_path, {"dataset": {"paths": paths}})
+        result = runner.invoke(main, ["export-embeddings", "--config",
+                                      str(cfg), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert result.output == ("data error: news id 'N1' is in both EN-US "
+                                 "and DE-DE\n")
+
 
 class TestPretrain:
     def test_param_count_header_grows_with_depth(self, runner, tmp_path):

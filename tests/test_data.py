@@ -357,6 +357,14 @@ class TestSplit:
         with pytest.raises(DataError):
             split_dataset([])
 
+    def test_validate_dataset_rejects_an_id_shared_by_two_markets(self):
+        arts = [NewsArticle("N1", "news", "sub", "storm hits coast",
+                            market="EN-US"),
+                NewsArticle("N1", "sport", "sub", "sieg im finale",
+                            market="DE-DE")]
+        with pytest.raises(DataError, match="'N1' is in both EN-US and DE-DE"):
+            validate_dataset(arts, [])
+
     def test_validate_dataset_catches_unknown_ids(self):
         arts, imps = generate_synthetic(SyntheticSpec(
             num_users=5, num_news=20, impressions_per_user=2))["EN-US"]

@@ -86,20 +86,52 @@ class TestCnnEncoder:
                             + enc.params["conv.b"].data, 0.0)
         assert np.max(np.abs(out - oracle)) < 1e-12
 
-    def test_matches_direct_convolution_oracle(self):
-        enc = build_news_encoder(_spec(CNN, conv_window=3), VOCAB, M, seed=2)
-        rng = np.random.default_rng(1)
-        ids, mask = _random_batch(rng, b=1)
-        out = enc.forward(ids, mask).data[0]
-        emb = enc.params["token_emb"].data[ids[0]]
+    @staticmethod
+    def _titles(rng):
+        """Three titles of lengths M, 5 and 3: a window past the end of the
+        first would read the second's first rows if the padding were not
+        per title."""
+        ids, mask = _random_batch(rng, b=3)
+        for b, length in enumerate((M, 5, 3)):
+            ids[b, length:] = 0
+            mask[b, length:] = 0.0
+        return ids, mask
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_matches_direct_convolution_oracle(self, window):
+        enc = build_news_encoder(_spec(CNN, conv_window=window), VOCAB, M,
+                                 seed=2)
+        ids, mask = self._titles(np.random.default_rng(1))
+        out = enc.forward(ids, mask).data
+        emb = enc.params["token_emb"].data[ids] * mask[..., None]
         oracle = np.zeros_like(emb)
-        for pos in range(M):
-            acc = enc.params["conv.b"].data.copy()
-            for o in (-1, 0, 1):
-                if 0 <= pos + o < M:
-                    acc = acc + emb[pos + o] @ enc.params[f"conv.w{o:+d}"].data
-            oracle[pos] = np.maximum(acc, 0.0)
+        half = window // 2
+        for b in range(len(ids)):
+            for pos in range(M):
+                acc = enc.params["conv.b"].data.copy()
+                for o in range(-half, half + 1):
+                    if 0 <= pos + o < M:
+                        acc = acc + (emb[b, pos + o]
+                                     @ enc.params[f"conv.w{o:+d}"].data)
+                oracle[b, pos] = np.maximum(acc, 0.0) * mask[b, pos]
         assert np.max(np.abs(out - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_gradient_check_padded_batch(self, window):
+        enc = build_news_encoder(_spec(CNN, conv_window=window, d_model=8),
+                                 VOCAB, M, seed=6)
+        rng = np.random.default_rng(4)
+        ids, mask = self._titles(rng)
+        weights = rng.normal(size=(3, M, 8))
+
+        def model_fn():
+            return T.reduce_sum(enc.forward(ids, mask) * weights)
+
+        # pre-activations are ~1e-3 at the init scale and some lie within
+        # 1e-5 of the ReLU kink, so the finite differences take smaller steps
+        report = T.gradient_check(model_fn, enc.params, h=1e-8)
+        assert report["failed"] == []
+        assert report["max_overall"] < 1e-5
 
 
 class TestSelfAttnEncoder:

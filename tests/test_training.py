@@ -173,6 +173,21 @@ class TestTrain:
         assert len(lines) == 2
         assert lines[1].startswith("1,")
 
+    def test_valid_loss_weights_each_chunk_by_its_samples(self):
+        model, table, samples, imps = _toy_setup(seed=4, n_users=50)
+        cfg = TrainConfig(learning_rate=0.0, batch_size=16, epochs=1, seed=4)
+        result = train(model, table, samples[:16], cfg, valid_impressions=imps)
+        vsamples, _ = build_training_samples(
+            imps, cfg.negatives_k, seed=cfg.seed + 7919,
+            history_cap=model.spec.history_cap)
+        rows = _row_samples(model, table, vsamples)
+        chunks = [rows[:256], rows[256:]]
+        assert len(chunks[0]) > len(chunks[1]) > 0
+        losses = [batch_loss(model, table, c).item() for c in chunks]
+        per_sample = (losses[0] * 256 + losses[1] * len(chunks[1])) / len(rows)
+        assert np.isclose(result.history[0]["valid_loss"], per_sample,
+                          rtol=1e-12, atol=0.0)
+
     def test_shard_divisibility_enforced(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=10, shards=3)
@@ -445,7 +460,7 @@ class TestMlmPretrain:
             # every position through the output layer, one-hot targets
             onehot = np.zeros(ids.shape + (V,))
             onehot.reshape(-1, V)[rows, targets] = 1.0
-            logits = states @ T.transpose_last(emb) + out_bias
+            logits = states @ T.permute(emb, (1, 0)) + out_bias
             return (T.reduce_sum(T.log_softmax(logits) * onehot)
                     * (-1.0 / len(rows)))
 
