@@ -12,6 +12,7 @@ tokens), ATTENTION (additive attention over all real tokens including CLS).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,28 @@ def real_rows(mask: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask.reshape(-1))
 
 
+def trim_padding(ids: np.ndarray, mask: np.ndarray):
+    """(B, M) ids and mask without the trailing columns that are PAD in
+    every row: padding does not change an encoding."""
+    real_cols = np.flatnonzero(np.any(mask, axis=0))
+    if len(real_cols):
+        width = real_cols[-1] + 1
+        ids, mask = ids[:, :width], mask[:, :width]
+    return ids, mask
+
+
+def _titles(ids: np.ndarray, rows: np.ndarray) -> list[tuple[bytes, range]]:
+    """Per title of a (B, M) batch whose real tokens sit at flat positions
+    ``rows``: a key (the bytes of its real token ids and their columns, all
+    that a title's encoding depends on) and the range of its rows."""
+    B, M = ids.shape
+    buf = np.stack([ids.reshape(-1)[rows], rows % M],
+                   axis=1).astype(np.int64, copy=False).tobytes()
+    ends = np.cumsum(np.bincount(rows // M, minlength=B)).tolist()
+    return [(buf[16 * s:16 * e], range(s, e))
+            for s, e in zip([0, *ends[:-1]], ends)]
+
+
 def _attn_params(rng, d: int, prefix: str) -> dict:
     p = {}
     for name in ("wq", "wk", "wv", "wo"):
@@ -141,15 +164,19 @@ class NewsEncoderBase:
         """(B, M) -> (B, d) pooled news embeddings.
 
         Trailing columns that are PAD in every row are dropped before the
-        forward pass: padding does not change an embedding, so the batch is
-        only as wide as its longest title.
+        forward pass (``trim_padding``), so the batch is only as wide as
+        its longest title.
         """
-        real_cols = np.flatnonzero(np.any(mask, axis=0))
-        if len(real_cols):
-            width = real_cols[-1] + 1
-            ids, mask = ids[:, :width], mask[:, :width]
+        ids, mask = trim_padding(ids, mask)
         return pool_batch(self.forward(ids, mask, rng=rng), mask,
                           self.spec.pooling, self.params)
+
+    @contextmanager
+    def frozen_prefix(self, ids: np.ndarray, mask: np.ndarray):
+        """While open, ``forward`` may read the output of the encoder's
+        frozen layers for the titles of ``ids``/``mask`` from a cache
+        instead of computing it; an encoder without such layers has none."""
+        yield
 
     def _dropout(self, x, rng):
         if self.spec.dropout > 0.0 and rng is not None:
@@ -213,48 +240,109 @@ class MiniPlmEncoder(NewsEncoderBase):
     run on those R rows.  ``tensor.attention`` takes the same rows.  The
     final rows are scattered into a (B, M, d) output that is exactly 0 at
     PAD positions.
+
+    Layer 0 is the embeddings and layer ``l`` >= 1 is block ``l - 1``; one
+    helper, ``_layers``, runs them.  A layer whose parameters are all
+    frozen is a constant and draws no dropout mask.  The frozen prefix is
+    the leading frozen layers, the embeddings first; while
+    ``frozen_prefix`` is open, ``forward`` gathers its output rows from a
+    cache and runs only the layers above it.
     """
 
     def _build(self, rng):
         d = self.spec.d_model
         self.params["token_emb"] = _init(rng, self.vocab_size, d)
         self.params["pos_emb"] = _init(rng, self.max_len, d)
+        self._layer_params = [("token_emb", "pos_emb")]
         for l in range(self.spec.depth):
             pre = f"block{l}."
-            self.params.update(_attn_params(rng, d, pre + "attn."))
-            self.params[pre + "ln1.gain"] = _ones(d)
-            self.params[pre + "ln1.bias"] = _zeros(d)
-            self.params[pre + "ln2.gain"] = _ones(d)
-            self.params[pre + "ln2.bias"] = _zeros(d)
-            self.params[pre + "ffn.w1"] = _init(rng, d, 4 * d)
-            self.params[pre + "ffn.b1"] = _zeros(4 * d)
-            self.params[pre + "ffn.w2"] = _init(rng, 4 * d, d)
-            self.params[pre + "ffn.b2"] = _zeros(d)
+            block = _attn_params(rng, d, pre + "attn.")
+            block[pre + "ln1.gain"] = _ones(d)
+            block[pre + "ln1.bias"] = _zeros(d)
+            block[pre + "ln2.gain"] = _ones(d)
+            block[pre + "ln2.bias"] = _zeros(d)
+            block[pre + "ffn.w1"] = _init(rng, d, 4 * d)
+            block[pre + "ffn.b1"] = _zeros(4 * d)
+            block[pre + "ffn.w2"] = _init(rng, 4 * d, d)
+            block[pre + "ffn.b2"] = _zeros(d)
+            self.params.update(block)
+            self._layer_params.append(tuple(block))
         self.params["final_ln.gain"] = _ones(d)
         self.params["final_ln.bias"] = _zeros(d)
+        self.prefix = None  # (layers, cached rows, title key -> its rows)
+
+    def _trains(self, l: int) -> bool:
+        return any(self.params[n].requires_grad for n in self._layer_params[l])
+
+    def _layers(self, h, lo: int, hi: int, ids, mask, rows, rng):
+        """Layers ``lo`` to ``hi - 1`` on the packed rows ``h`` (unused when
+        ``lo`` is 0, the embeddings)."""
+        p = self.params
+        for l in range(lo, hi):
+            drop = rng if self._trains(l) else None
+            if l == 0:
+                h = self._dropout(
+                    T.embedding_lookup(p["token_emb"], ids.reshape(-1)[rows])
+                    + T.embedding_lookup(p["pos_emb"], rows % ids.shape[-1]),
+                    drop)
+                continue
+            pre = f"block{l - 1}."
+            a = T.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+            h = h + self._dropout(
+                multi_head_attention(a, rows, mask, p, pre + "attn.",
+                                     self.spec.num_heads), drop)
+            f = T.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+            ff = T.matmul(T.gelu(T.matmul(f, p[pre + "ffn.w1"], p[pre + "ffn.b1"])),
+                          p[pre + "ffn.w2"], p[pre + "ffn.b2"])
+            h = h + self._dropout(ff, drop)
+        return h
 
     def forward(self, ids, mask, rng=None):
         M = ids.shape[-1]
         if M > self.max_len:
             raise T.ShapeError(f"sequence length {M} exceeds position table "
                                f"{self.max_len}")
-        p = self.params
         rows = real_rows(mask)
-        h = (T.embedding_lookup(p["token_emb"], ids.reshape(-1)[rows])
-             + T.embedding_lookup(p["pos_emb"], rows % M))
-        h = self._dropout(h, rng)
-        for l in range(self.spec.depth):
-            pre = f"block{l}."
-            a = T.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-            h = h + self._dropout(
-                multi_head_attention(a, rows, mask, p, pre + "attn.",
-                                     self.spec.num_heads), rng)
-            f = T.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-            ff = T.matmul(T.gelu(T.matmul(f, p[pre + "ffn.w1"], p[pre + "ffn.b1"])),
-                          p[pre + "ffn.w2"], p[pre + "ffn.b2"])
-            h = h + self._dropout(ff, rng)
-        h = T.layer_norm(h, p["final_ln.gain"], p["final_ln.bias"])
+        h, lo = None, 0
+        if self.prefix is not None:
+            layers, cache, index = self.prefix
+            found = [index.get(key) for key, _ in _titles(ids, rows)]
+            if all(r is not None for r in found):  # else run every layer
+                h = T.embedding_lookup(cache, np.concatenate(found))
+                lo = layers
+        h = self._layers(h, lo, self.spec.depth + 1, ids, mask, rows, rng)
+        h = T.layer_norm(h, self.params["final_ln.gain"],
+                         self.params["final_ln.bias"])
         return T.scatter_rows(h, rows, ids.shape)
+
+    @contextmanager
+    def frozen_prefix(self, ids, mask):
+        """Compute the frozen prefix's output for every title of ``ids``/
+        ``mask`` once, 256 titles at a time in their order, as packed
+        real-token rows (real tokens x d floats); ``forward`` reads it until
+        the context exits, however it exits."""
+        layers = 0
+        while layers <= self.spec.depth and not self._trains(layers):
+            layers += 1
+        if layers == 0:
+            yield
+            return
+        parts, index, total = [], {}, 0
+        for start in range(0, len(ids), 256):
+            c_ids, c_mask = trim_padding(ids[start:start + 256],
+                                         mask[start:start + 256])
+            rows = real_rows(c_mask)
+            for key, span in _titles(c_ids, rows):
+                index.setdefault(key, np.arange(total + span.start,
+                                                total + span.stop))
+            parts.append(self._layers(None, 0, layers, c_ids, c_mask, rows,
+                                      None).data)
+            total += len(rows)
+        self.prefix = (layers, Tensor(np.concatenate(parts)), index)
+        try:
+            yield
+        finally:
+            self.prefix = None
 
 
 _ENCODER_CLASSES = {CNN: CnnNewsEncoder, SELF_ATTN: SelfAttnNewsEncoder,

@@ -216,10 +216,12 @@ def train(model: Recommender, table: NewsTokenTable,
           valid_impressions: list[Impression] | None = None) -> TrainResult:
     """Mini-batch Adam over the listwise loss with seeded epoch shuffles.
 
-    Frozen parameters are never touched by the optimizer.  The news
-    encoder's dropout masks are drawn from ``(seed, epoch, batch, shard)``,
-    so a rerun is bitwise identical.  A non-finite loss or gradient aborts
-    with NumericalError.
+    Frozen parameters are never touched by the optimizer.  The output of
+    the news encoder's frozen prefix is computed once, for every title the
+    call encodes, and read by every step and validation pass of the call
+    (``NewsEncoderBase.frozen_prefix``).  The news encoder's dropout masks
+    are drawn from ``(seed, epoch, batch, shard)``, so a rerun is bitwise
+    identical.  A non-finite loss or gradient aborts with NumericalError.
     """
     if not samples:
         raise DataError("empty training sample set")
@@ -238,23 +240,30 @@ def train(model: Recommender, table: NewsTokenTable,
         return _shard_step(model, table, [rows[i] for i in idx], config.shards,
                            trainable, (config.seed, epoch, b))
 
+    # the titles this call encodes: its samples', or with validation the
+    # whole table, which evaluate encodes
+    used = np.full(len(table), bool(valid_impressions))
+    for s in rows:
+        used[s.history_rows] = True
+        used[s.candidate_rows] = True
     result = TrainResult()
-    for epoch, train_loss in _adam_epochs(
-            trainable, config.learning_rate, len(rows), config.batch_size,
-            range(1, config.epochs + 1), config.seed, step):
-        valid_loss = float("nan")
-        valid_auc = float("nan")
-        if valid_rows is not None:
-            chunks = [valid_rows[i:i + 256]
-                      for i in range(0, len(valid_rows), 256)]
-            valid_loss = float(np.average(
-                [batch_loss(model, table, c).item() for c in chunks],
-                weights=[len(c) for c in chunks]))
-            report = evaluation.evaluate(model, valid_impressions, table)
-            valid_auc = report.means["auc"]
-        result.history.append(dict(epoch=epoch, train_loss=train_loss,
-                                   valid_loss=valid_loss,
-                                   valid_auc=valid_auc))
+    with model.news_encoder.frozen_prefix(table.ids[used], table.mask[used]):
+        for epoch, train_loss in _adam_epochs(
+                trainable, config.learning_rate, len(rows), config.batch_size,
+                range(1, config.epochs + 1), config.seed, step):
+            valid_loss = float("nan")
+            valid_auc = float("nan")
+            if valid_rows is not None:
+                chunks = [valid_rows[i:i + 256]
+                          for i in range(0, len(valid_rows), 256)]
+                valid_loss = float(np.average(
+                    [batch_loss(model, table, c).item() for c in chunks],
+                    weights=[len(c) for c in chunks]))
+                report = evaluation.evaluate(model, valid_impressions, table)
+                valid_auc = report.means["auc"]
+            result.history.append(dict(epoch=epoch, train_loss=train_loss,
+                                       valid_loss=valid_loss,
+                                       valid_auc=valid_auc))
     return result
 
 

@@ -341,6 +341,32 @@ class TestFinetunePolicy:
                    for n in trainable)
         assert "token_emb" in frozen
 
+    @pytest.mark.parametrize("k,layers", [(4, 1), (2, 3), (0, 5)])
+    def test_frozen_prefix_is_the_leading_frozen_layers(self, k, layers):
+        enc = self._encoder(k)
+        apply_finetune_policy(enc)
+        ids, mask = _random_batch(np.random.default_rng(7), b=3, real=6)
+        uncached = enc.embed(ids, mask).data
+        with enc.frozen_prefix(ids, mask):
+            assert enc.prefix[0] == layers  # the embeddings, then blocks
+            assert enc.prefix[1].shape == (18, 16)  # real tokens x d
+            assert np.array_equal(enc.embed(ids, mask).data, uncached)
+        assert enc.prefix is None
+        # a batch with a title the cache lacks runs every layer
+        with enc.frozen_prefix(ids[:2], mask[:2]):
+            assert np.array_equal(enc.embed(ids, mask).data, uncached)
+
+    def test_no_frozen_prefix_while_the_embeddings_train(self):
+        enc = self._encoder(2)
+        ids, mask = _random_batch(np.random.default_rng(7), b=3)
+        for name, p in enc.params.items():
+            p.requires_grad = not name.startswith("block0.")
+        with enc.frozen_prefix(ids, mask):
+            assert enc.prefix is None
+        cnn = build_news_encoder(_spec(CNN), VOCAB, M, seed=0)
+        with cnn.frozen_prefix(ids, mask):
+            assert not hasattr(cnn, "prefix")
+
     def test_k_beyond_depth_rejected(self):
         with pytest.raises(ValueError, match="finetune_last_k"):
             self._encoder(5)

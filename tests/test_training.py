@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from newsrec import evaluation
 from newsrec import tensor as T
 from newsrec import training
 from newsrec.data import Impression, SyntheticSpec, generate_synthetic
-from newsrec.encoders import NewsEncoderSpec, build_news_encoder
+from newsrec.encoders import (NewsEncoderSpec, build_news_encoder,
+                              multi_head_attention, real_rows, trim_padding)
 from newsrec.model import ModelSpec, NewsTokenTable, Recommender
 from newsrec.tensor import Adam, ComputationTape, Tensor
 from newsrec.text import build_vocab, tokenize
@@ -234,6 +236,182 @@ class TestTrain:
                 tracemalloc.stop()
 
         assert peak_bytes(2) < 0.9 * peak_bytes(4)
+
+
+def _taped_prefix_forward(enc, ids, mask, rng=None):
+    """The mini PLM's forward with every layer on the tape and no prefix
+    cache, as it was before ``train`` cached the frozen prefix."""
+    M = ids.shape[-1]
+    p = enc.params
+    rows = real_rows(mask)
+    h = (T.embedding_lookup(p["token_emb"], ids.reshape(-1)[rows])
+         + T.embedding_lookup(p["pos_emb"], rows % M))
+    h = enc._dropout(h, rng)
+    for l in range(enc.spec.depth):
+        pre = f"block{l}."
+        a = T.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        h = h + enc._dropout(
+            multi_head_attention(a, rows, mask, p, pre + "attn.",
+                                 enc.spec.num_heads), rng)
+        f = T.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        ff = T.matmul(T.gelu(T.matmul(f, p[pre + "ffn.w1"], p[pre + "ffn.b1"])),
+                      p[pre + "ffn.w2"], p[pre + "ffn.b2"])
+        h = h + enc._dropout(ff, rng)
+    h = T.layer_norm(h, p["final_ln.gain"], p["final_ln.bias"])
+    return T.scatter_rows(h, rows, ids.shape)
+
+
+def _finetune_setup(seed=3, depth=4, k=2, dropout=0.0, n_news=40):
+    news = NewsEncoderSpec(kind="mini_plm", d_model=16, num_heads=2,
+                           depth=depth, pooling="attention",
+                           finetune_last_k=k, dropout=dropout)
+    model, table, samples, imps = _toy_setup(seed=seed, n_news=n_news,
+                                             news=news)
+    model.apply_finetune_policy()
+    return model, table, samples, imps
+
+
+class TestFrozenPrefix:
+    """``train`` computes the frozen embeddings and blocks once per call and
+    runs only the trainable layers on the tape."""
+
+    def test_one_epoch_equals_a_taped_prefix_oracle(self):
+        # Every batch and every cache chunk here is 8 to 15 tokens wide.
+        # Attention sums its softmax over the key axis, and numpy adds fewer
+        # than 8 keys in sequence but 8 or more as eight running sums, so a
+        # title's frozen rows computed at widths on both sides of 8 can
+        # differ in the last bits.
+        model, table, samples, _ = _finetune_setup()
+        oracle, _, _, _ = _finetune_setup()
+        oracle.news_encoder.forward = (
+            lambda ids, mask, rng=None: _taped_prefix_forward(
+                oracle.news_encoder, ids, mask, rng))
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, seed=3)
+        losses = [r["train_loss"] for r in train(model, table, samples,
+                                                 cfg).history]
+        assert losses == [r["train_loss"] for r in train(oracle, table,
+                                                         samples, cfg).history]
+        trainable = model.trainable_parameters()
+        assert "news.block2.ffn.w1" in trainable
+        for name, p in trainable.items():
+            assert np.array_equal(p.data, oracle.parameters()[name].data), name
+
+    def test_step_memory_does_not_grow_with_frozen_depth(self):
+        """The tracemalloc peak of a k = 2 step is the same at depth 2 and
+        8: the frozen blocks run once, off the tape, before the steps."""
+        def peak_bytes(depth):
+            model, table, samples, _ = _finetune_setup(depth=depth,
+                                                       n_news=150)
+            rows = _row_samples(model, table, samples[:64])
+            trainable = model.trainable_parameters()
+            with model.news_encoder.frozen_prefix(table.ids, table.mask):
+                tracemalloc.start()
+                try:
+                    _shard_step(model, table, rows, 1, trainable, (0,))
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak_bytes(8) < 1.1 * peak_bytes(2)
+
+    def test_frozen_layers_draw_no_dropout_mask(self):
+        model, table, samples, _ = _finetune_setup(dropout=0.5)
+        plain, _, _, _ = _finetune_setup(dropout=0.0)
+        enc = model.news_encoder
+        ids, mask = trim_padding(table.ids[:24], table.mask[:24])
+
+        def forward(rng_key):
+            """Output, and the rows gathered from the cache if one is open."""
+            with ComputationTape() as tape:
+                out = enc.forward(ids, mask, rng=np.random.default_rng(rng_key))
+            cache = enc.prefix[1] if enc.prefix else None
+            return out.data, [e.output.data for e in tape.entries
+                              if e.inputs[0] is cache]
+
+        with enc.frozen_prefix(table.ids, table.mask):
+            out1, (rows1,) = forward(1)
+            out2, (rows2,) = forward(2)
+
+        # the prefix rows a title reads do not change with the step's key
+        assert np.array_equal(rows1, rows2)
+        assert not np.array_equal(out1, out2)
+        # one rule with or without the cache: the uncached forward draws
+        # the same masks, all of them in the trainable blocks
+        assert np.array_equal(out1, forward(1)[0])
+
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1, seed=3)
+        assert (train(model, table, samples, cfg).history[0]["train_loss"]
+                != train(plain, table, samples, cfg).history[0]["train_loss"])
+
+    def test_cache_is_dropped_when_train_returns(self, monkeypatch):
+        model, table, samples, _ = _finetune_setup()
+        enc = model.news_encoder
+        seen = []
+        original = training._shard_step
+
+        def step(*args):
+            seen.append(enc.prefix is not None)
+            return original(*args)
+
+        monkeypatch.setattr(training, "_shard_step", step)
+        train(model, table, samples[:32],
+              TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1))
+        assert seen == [True, True]
+        assert enc.prefix is None
+
+    def test_cache_is_dropped_when_train_aborts(self, monkeypatch):
+        model, table, samples, _ = _finetune_setup()
+        enc = model.news_encoder
+
+        def step(*args):
+            assert enc.prefix is not None
+            raise T.NumericalError("loss is non-finite")
+
+        monkeypatch.setattr(training, "_shard_step", step)
+        with pytest.raises(T.NumericalError):
+            train(model, table, samples[:32],
+                  TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1))
+        assert enc.prefix is None
+
+    def test_cache_holds_only_the_titles_the_call_encodes(self, monkeypatch):
+        model, table, samples, imps = _finetune_setup()
+        enc = model.news_encoder
+        cached = []
+        original = training._shard_step
+
+        def step(*args):
+            cached.append(enc.prefix[1].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(training, "_shard_step", step)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1)
+        used = {table.index[n] for s in samples[:4]
+                for n in (*s.history, *s.candidate_ids)}
+        assert len(used) < len(table)
+        train(model, table, samples[:4], cfg)
+        # real-token rows of the samples' titles, not of the whole table
+        assert cached == [table.mask[sorted(used)].sum()]
+        # evaluate encodes the whole table
+        train(model, table, samples[:4], cfg, valid_impressions=imps)
+        assert cached[1] == table.mask.sum()
+
+    def test_evaluate_after_train_reads_the_loaded_weights(self, tmp_path):
+        model, table, samples, imps = _finetune_setup()
+        # other weights, the frozen prefix's among them
+        other, _, _, _ = _finetune_setup()
+        for name in ("token_emb", "block0.ffn.w1"):
+            p = other.news_encoder.params[name]
+            p.data = p.data * 3.0
+        other.save(tmp_path / "other.ckpt")
+        train(model, table, samples,
+              TrainConfig(learning_rate=1e-2, batch_size=16, epochs=1))
+        model.load(tmp_path / "other.ckpt")
+        fresh, _, _, _ = _toy_setup(seed=3, news=model.spec.news)
+        fresh.load(tmp_path / "other.ckpt")
+        got = evaluation.evaluate(model, imps, table)
+        want = evaluation.evaluate(fresh, imps, table)
+        assert got.means == want.means
+        assert got.per_impression == want.per_impression
 
 
 class TestDropout:
