@@ -3,6 +3,9 @@ projection of news embeddings, and silhouette-based discriminability.
 
 AUC uses the rank-sum formulation with ties counted 0.5; MRR and nDCG rank
 by descending score with stable index-order tie-breaking.
+
+Only ``discriminability`` needs ``scipy.spatial`` (for ``cdist``), and it
+imports it when called, so importing this module loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 
 METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
@@ -20,6 +21,30 @@ METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
 
 class UndefinedMetric(ValueError):
     """The metric is undefined for this impression (e.g. no positives)."""
+
+
+def _average_ranks(x):
+    """Row-wise 1-based ranks of a (G, n) float array, ties sharing their mean.
+
+    Equal to ``scipy.stats.rankdata(x, method="average", axis=1)``: every
+    rank is an exact half-integer, so the two agree bitwise, and a row that
+    holds a NaN ranks as all NaN.
+    """
+    G, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=1)
+    starts = np.ones((G, n), dtype=bool)   # sorted position opens a run
+    starts[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    ends = np.ones((G, n), dtype=bool)     # sorted position closes a run
+    ends[:, :-1] = starts[:, 1:]
+    pos = np.arange(n)
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1],
+                                 axis=1)[:, ::-1]
+    ranks = np.empty((G, n))
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=1)
+    ranks[np.isnan(x).any(axis=1)] = np.nan
+    return ranks
 
 
 def _ranking_metrics(scores, labels, ks=(5, 10)):
@@ -32,7 +57,7 @@ def _ranking_metrics(scores, labels, ks=(5, 10)):
     pos = np.asarray(labels) == 1
     n = pos.shape[1]
     n_pos = pos.sum(axis=1)
-    ranks = rankdata(scores, method="average", axis=1)
+    ranks = _average_ranks(scores)
     with np.errstate(divide="ignore", invalid="ignore"):
         auc = (((ranks * pos).sum(axis=1) - n_pos * (n_pos + 1) / 2.0)
                / (n_pos * (n - n_pos)))
@@ -244,6 +269,7 @@ def discriminability(embeddings, topic_labels) -> float:
         raise ValueError("silhouette needs at least 2 clusters")
     if len(X) < 3:
         raise ValueError("silhouette needs at least 3 points")
+    from scipy.spatial.distance import cdist
     dist = cdist(X, X)
     sil = np.zeros(len(X))
     members = {c: np.flatnonzero(labels == c) for c in uniq}

@@ -2,17 +2,21 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsrec.data import SyntheticSpec, generate_synthetic
 from newsrec.encoders import (ENCODER_KINDS, POOL_MODES, NewsEncoderSpec,
                               pool_batch)
-from newsrec.evaluation import (UndefinedMetric, auc_impression,
-                                discriminability, encode_all_news, evaluate,
+from newsrec.evaluation import (UndefinedMetric, _average_ranks,
+                                auc_impression, discriminability, encode_all_news, evaluate,
                                 mrr, ndcg_at_k, pca_project, score_impressions)
 from newsrec.model import ModelSpec, NewsTokenTable, Recommender
 from newsrec.tensor import Tensor
@@ -69,6 +73,36 @@ class TestAuc:
             a = auc_impression(scores, labels)
             b = auc_impression(-scores, labels)
             assert abs(a + b - 1.0) < 1e-12
+
+
+@st.composite
+def _score_rows(draw):
+    """(G, n) float rows with heavy ties, -0.0 beside 0.0, +-inf, and NaN in
+    some rows."""
+    g = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
+    value = st.one_of(st.integers(-3, 3).map(float),
+                      st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                      st.floats(allow_nan=False))
+    x = np.array(draw(st.lists(value, min_size=g * n, max_size=g * n)),
+                 dtype=np.float64).reshape(g, n)
+    for row in range(g):
+        if draw(st.booleans()) and draw(st.booleans()):
+            x[row, draw(st.integers(0, n - 1))] = np.nan
+    return x
+
+
+class TestAverageRanks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_score_rows())
+    @example(np.array([[0.0], [np.nan], [-np.inf]]))
+    @example(np.array([[-0.0, 0.0, 0.0, -1.0, np.inf, np.inf]]))
+    def test_equals_scipy_average_ranks(self, x):
+        from scipy.stats import rankdata
+        ref = rankdata(x, method="average", axis=1)
+        got = _average_ranks(x)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestMrr:
@@ -254,6 +288,68 @@ class TestDiscriminability:
     def test_single_cluster_rejected(self):
         with pytest.raises(ValueError):
             discriminability(np.ones((5, 2)), [0] * 5)
+
+
+# Imports the package and its command line tool, runs one evaluate on a
+# tiny synthetic corpus, lists which of scipy.stats and scipy.spatial are
+# loaded, then prints that list, the silhouette of 30 seeded points and
+# whether scipy.spatial is loaded after it, as JSON.
+_IMPORTS_CHILD = """
+import json
+import sys
+
+import numpy as np
+
+import newsrec
+import newsrec.cli
+from newsrec.data import SyntheticSpec, generate_synthetic
+from newsrec.evaluation import discriminability, evaluate
+from newsrec.model import ModelSpec, NewsTokenTable, Recommender
+from newsrec.text import build_vocab
+
+arts, imps = generate_synthetic(SyntheticSpec(
+    num_users=10, num_news=30, impressions_per_user=3,
+    candidates_per_impression=5, seed=3))["EN-US"]
+vocab = build_vocab(a.title for a in arts)
+model = Recommender(ModelSpec(
+    news=newsrec.NewsEncoderSpec(kind="cnn", d_model=8, num_heads=2),
+    user=newsrec.UserEncoderSpec(kind="nrms", d_model=8, num_heads=2),
+    max_title_len=12), vocab, user_ids=sorted({i.user_id for i in imps}),
+    seed=3)
+report = evaluate(model, imps, NewsTokenTable(arts, vocab, 12))
+assert report.per_impression
+loaded = [m for m in ("scipy.stats", "scipy.spatial") if m in sys.modules]
+rng = np.random.default_rng(12)
+sil = discriminability(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30))
+print(json.dumps({"loaded": loaded, "silhouette": sil,
+                  "spatial_after": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_import_and_evaluate_load_no_scipy_stats_or_spatial():
+    """In a fresh interpreter, importing newsrec and newsrec.cli and one
+    evaluate load neither scipy.stats nor scipy.spatial; discriminability
+    loads scipy.spatial and still measures with its cdist."""
+    from scipy.spatial.distance import cdist
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert out["loaded"] == []
+    assert out["spatial_after"]
+    rng = np.random.default_rng(12)
+    X, labels = rng.normal(size=(30, 4)), rng.integers(0, 3, size=30)
+    dist = cdist(X, X)
+    sil = []
+    for i in range(len(X)):
+        own = np.flatnonzero(labels == labels[i])
+        a = dist[i, own].sum() / (len(own) - 1)
+        b = min(dist[i, labels == c].mean() for c in np.unique(labels)
+                if c != labels[i])
+        sil.append((b - a) / max(a, b))
+    assert out["silhouette"] == float(np.mean(sil))
 
 
 def _tiny_model(kind="cnn", pooling="attention"):
