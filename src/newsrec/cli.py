@@ -43,22 +43,14 @@ class ConfigError(ValueError):
     pass
 
 
-# reference results from large-scale runs on the public English benchmark;
-# annotation only -- not reproducible at desk scale
-REFERENCE_AUC = {
-    "ebnr": 66.54, "naml": 67.78, "npa": 67.87, "lstur": 68.04, "nrms": 68.18,
-    "nrms-bert": 69.50, "naml-bert": 69.42, "nrms-unilm": 70.64,
-}
-REFERENCE_NOTE = "reference, not reproducible at desk scale"
-
-
 # ---------------------------------------------------------------------------
 # config loading / validation
 # ---------------------------------------------------------------------------
 
 # config section -> (the spec or function that takes it whole, the keyword
 # parameters the program supplies); the consumer's other keyword parameters
-# are the section's keys, with their annotated types, defaults and checks
+# are the section's keys, with their annotated types, defaults and checks.
+# ``_check_section`` validates a section and ``_consume`` builds it from here.
 _CONSUMERS = {
     "dataset.synthetic": (SyntheticSpec, ()),
     "dataset.split": (split_dataset, ("impressions", "seed")),
@@ -128,38 +120,25 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-def _build(what: str, consumer, *args, **kwargs):
-    """``consumer(*args, **kwargs)``, raising the ValueError of a range check
-    as a ConfigError about ``what``; a DataError passes through unchanged."""
+def _consume(cfg: dict, path: str, *args, **given):
+    """The ``_CONSUMERS`` consumer of config section ``path``, called with
+    ``args``, ``given`` and the section's keys but not the sections it holds;
+    a section key overrides ``given``.  A range check's ValueError becomes a
+    ConfigError naming ``path``; a DataError passes through unchanged."""
+    section = functools.reduce(lambda d, k: d.get(k, {}), path.split("."), cfg)
+    keys = {k: v for k, v in section.items() if k not in _ALLOWED.get(path, {})}
     try:
-        return consumer(*args, **kwargs)
+        return _CONSUMERS[path][0](*args, **{**given, **keys})
     except DataError:
         raise
     except ValueError as e:
-        raise ConfigError(f"invalid {what}: {e}") from e
+        raise ConfigError(f"invalid {path} section: {e}") from e
 
 
 def model_spec_from(cfg: dict) -> ModelSpec:
-    m = cfg.get("model", {})
-    news = _build("model section", NewsEncoderSpec, **m.get("news_encoder", {}))
-    user = _build("model section", UserEncoderSpec,
-                  **{"d_model": news.d_model, **m.get("user_encoder", {})})
-    return _build("model section", ModelSpec, news=news, user=user,
-                  **{k: v for k, v in m.items() if k not in _ALLOWED["model"]})
-
-
-def train_config_from(cfg: dict, seed: int) -> TrainConfig:
-    return _build("train section", TrainConfig, seed=seed,
-                  **cfg.get("train", {}))
-
-
-def synthetic_spec_from(synth: dict, seed: int) -> SyntheticSpec:
-    """A ``dataset.synthetic`` section as a spec; its seed defaults to the
-    run seed."""
-    try:
-        return SyntheticSpec(**{"seed": seed, **synth})
-    except DataError as e:
-        raise ConfigError(f"invalid synthetic spec: {e}") from e
+    news = _consume(cfg, "model.news_encoder")
+    user = _consume(cfg, "model.user_encoder", d_model=news.d_model)
+    return _consume(cfg, "model", news=news, user=user)
 
 
 class DatasetBundle:
@@ -172,7 +151,7 @@ class DatasetBundle:
         self.per_market = {}
         if "synthetic" in ds:
             self.per_market = generate_synthetic(
-                synthetic_spec_from(ds["synthetic"], seed))
+                _consume(cfg, "dataset.synthetic", seed=seed))
         elif "paths" in ds:
             for entry in ds["paths"]:
                 market = entry.get("market", "EN-US")
@@ -204,11 +183,10 @@ class DatasetBundle:
                             for i in imps]
         validate_dataset(self.articles, self.impressions)
 
-        self.splits = _build("dataset.split section", split_dataset,
-                             self.impressions, seed=seed, **ds.get("split", {}))
-        self.vocab = _build("dataset.vocab section", build_vocab,
-                            (a.title for a in self.articles),
-                            **ds.get("vocab", {}))
+        self.splits = _consume(cfg, "dataset.split", self.impressions,
+                               seed=seed)
+        self.vocab = _consume(cfg, "dataset.vocab",
+                              (a.title for a in self.articles))
         self.user_ids = sorted({i.user_id for i in self.impressions})
 
     def topic_labels(self, table: NewsTokenTable):
@@ -263,7 +241,7 @@ def _pretrain(cfg, bundle, seed, ckpt_path: Path):
                                  mspec.max_title_len, seed=seed)
     seqs = [tokenize(a.title, bundle.vocab, mspec.max_title_len)
             for a in bundle.articles]
-    tcfg = train_config_from(cfg, seed)
+    tcfg = _consume(cfg, "train", seed=seed)
     out_bias, losses = mlm_pretrain(
         seqs, encoder, bundle.vocab.size, mask_rate=tcfg.mlm_rate,
         epochs=tcfg.mlm_epochs, learning_rate=tcfg.mlm_learning_rate,
@@ -283,7 +261,7 @@ def _train_once(cfg, bundle, seed, from_pretrained=None):
         arrays.pop("mlm.out_bias", None)
         assign_parameters(model.news_encoder.params, arrays)
         model.apply_finetune_policy()
-    tcfg = train_config_from(cfg, seed)
+    tcfg = _consume(cfg, "train", seed=seed)
     samples, skipped = build_training_samples(
         bundle.splits["train"], tcfg.negatives_k, seed=seed,
         history_cap=model.spec.history_cap)
@@ -358,7 +336,8 @@ def cmd_gen_data(cfg, seed, manifest):
     ds = cfg.get("dataset", {})
     if "synthetic" not in ds:
         raise ConfigError("gen-data requires a dataset.synthetic section")
-    per_market = generate_synthetic(synthetic_spec_from(ds["synthetic"], seed))
+    per_market = generate_synthetic(
+        _consume(cfg, "dataset.synthetic", seed=seed))
     multi = len(per_market) > 1
     for market, (arts, imps) in per_market.items():
         suffix = f".{market}" if multi else ""
@@ -496,28 +475,19 @@ def cmd_compare(cfg, seed, manifest):
         for k, vals in metrics.items():
             row[f"{k}_mean"] = float(np.mean(vals))
             row[f"{k}_std"] = float(np.std(vals))
-        ref = REFERENCE_AUC.get(str(variant).lower())
-        row["reference_auc"] = "" if ref is None else f"{ref} ({REFERENCE_NOTE})"
         rows.append(row)
         click.echo(f"{variant}: auc={row['auc_mean']:.4f}"
                    f"±{row['auc_std']:.4f} params={pcount}")
-    cols = list(rows[0])
     with atomic_open(manifest.path("comparison.csv")) as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(rows[0]) + "\n")
         for row in rows:
-            f.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+            f.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                             for v in row.values()) + "\n")
     with atomic_open(manifest.path("comparison.txt")) as f:
         f.write(f"axis: {axis} ({num_seeds} seeds)\n")
         for row in rows:
             f.write(f"{row['variant']:>12s}  auc {row['auc_mean']:.4f}"
-                    f"±{row['auc_std']:.4f}  params {row['param_count']}"
-                    + (f"  [{row['reference_auc']}]"
-                       if row["reference_auc"] else "") + "\n")
-
-
-def _csv_cell(v):
-    s = f"{v:.6f}" if isinstance(v, float) else str(v)
-    return '"' + s + '"' if "," in s else s
+                    f"±{row['auc_std']:.4f}  params {row['param_count']}\n")
 
 
 @_command("export-embeddings", _checkpoint_option)

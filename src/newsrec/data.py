@@ -63,19 +63,19 @@ class SyntheticSpec:
                   self.num_news, self.impressions_per_user,
                   self.candidates_per_impression)
         if any(c < 1 for c in counts):
-            raise DataError("all synthetic counts must be positive")
+            raise ValueError("all synthetic counts must be positive")
         if self.shared_vocab < 0 or not self.markets:
-            raise DataError("inconsistent synthetic spec")
+            raise ValueError("inconsistent synthetic spec")
         if self.num_news < 2 or self.candidates_per_impression < 2:
-            raise DataError("num_news and candidates_per_impression must be "
-                            ">= 2: an impression needs a negative")
+            raise ValueError("num_news and candidates_per_impression must be "
+                             ">= 2: an impression needs a negative")
         if self.click_temperature <= 0 or self.user_topic_concentration <= 0:
-            raise DataError("click_temperature and user_topic_concentration "
-                            "must be > 0")
+            raise ValueError("click_temperature and user_topic_concentration "
+                             "must be > 0")
         tags = {_market_tag(m) for m in self.markets}
         if "" in self.markets or len(tags) < len(self.markets):
-            raise DataError("markets must be non-empty and distinct with '-' "
-                            f"dropped and case ignored, got {self.markets}")
+            raise ValueError("markets must be non-empty and distinct with '-' "
+                             f"dropped and case ignored, got {self.markets}")
 
 
 # ---------------------------------------------------------------------------

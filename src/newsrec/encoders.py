@@ -21,6 +21,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
+ENCODE_CHUNK = 256  # titles per forward pass when encoding a whole table
 
 CNN = "cnn"
 SELF_ATTN = "self_attn"
@@ -318,9 +319,9 @@ class MiniPlmEncoder(NewsEncoderBase):
     @contextmanager
     def frozen_prefix(self, ids, mask):
         """Compute the frozen prefix's output for every title of ``ids``/
-        ``mask`` once, 256 titles at a time in their order, as packed
-        real-token rows (real tokens x d floats); ``forward`` reads it until
-        the context exits, however it exits."""
+        ``mask`` once, ``ENCODE_CHUNK`` titles at a time in their order, as
+        packed real-token rows (real tokens x d floats); ``forward`` reads it
+        until the context exits, however it exits."""
         layers = 0
         while layers <= self.spec.depth and not self._trains(layers):
             layers += 1
@@ -328,9 +329,9 @@ class MiniPlmEncoder(NewsEncoderBase):
             yield
             return
         parts, index, total = [], {}, 0
-        for start in range(0, len(ids), 256):
-            c_ids, c_mask = trim_padding(ids[start:start + 256],
-                                         mask[start:start + 256])
+        for start in range(0, len(ids), ENCODE_CHUNK):
+            end = start + ENCODE_CHUNK
+            c_ids, c_mask = trim_padding(ids[start:end], mask[start:end])
             rows = real_rows(c_mask)
             for key, span in _titles(c_ids, rows):
                 index.setdefault(key, np.arange(total + span.start,
@@ -406,14 +407,12 @@ def apply_finetune_policy(encoder: NewsEncoderBase):
     if not isinstance(encoder, MiniPlmEncoder):
         raise ValueError("finetune policy applies to mini_plm encoders only")
     spec = encoder.spec
-    frozen_blocks = {f"block{l}."
-                     for l in range(spec.depth - spec.finetune_last_k)}
+    layers = encoder._layer_params[:spec.depth - spec.finetune_last_k + 1]
+    frozen_names = {name for layer in layers for name in layer}
     trainable, frozen = [], []
     for name, p in encoder.params.items():
-        freeze = (name in ("token_emb", "pos_emb")
-                  or any(name.startswith(b) for b in frozen_blocks))
-        p.requires_grad = not freeze
-        (frozen if freeze else trainable).append(name)
+        p.requires_grad = name not in frozen_names
+        (trainable if p.requires_grad else frozen).append(name)
     return trainable, frozen
 
 

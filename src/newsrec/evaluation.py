@@ -5,7 +5,8 @@ AUC uses the rank-sum formulation with ties counted 0.5; MRR and nDCG rank
 by descending score with stable index-order tie-breaking.
 
 Only ``discriminability`` needs ``scipy.spatial`` (for ``cdist``), and it
-imports it when called, so importing this module loads no scipy at all.
+imports it when called, so importing this module loads neither
+``scipy.stats`` nor ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import encoders
 
 METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
 
@@ -177,15 +179,16 @@ def score_impressions(scores_labels) -> EvalReport:
     return report.finalize()
 
 
-def encode_all_news(model, table, chunk: int = 256) -> np.ndarray:
+def encode_all_news(model, table) -> np.ndarray:
     """(N, d) news embedding matrix under the current parameters (no grad).
 
-    Titles are encoded shortest first, ``chunk`` at a time, so that each
-    chunk is only as wide as its longest title; row i of the result is
-    still the table's row i.
+    Titles are encoded shortest first, ``encoders.ENCODE_CHUNK`` at a time,
+    so that each chunk is only as wide as its longest title; row i of the
+    result is still the table's row i.
     """
     order = np.argsort(table.mask.sum(axis=1), kind="stable")
     out = np.empty((len(table), model.spec.news.d_model))
+    chunk = encoders.ENCODE_CHUNK
     for start in range(0, len(order), chunk):
         rows = order[start:start + chunk]
         out[rows] = model.news_encoder.embed(table.ids[rows],

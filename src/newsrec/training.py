@@ -17,6 +17,7 @@ import numpy as np
 from . import evaluation
 from . import tensor as T
 from .data import DataError, Impression
+from .encoders import MINI_PLM
 from .fileio import atomic_open
 from .model import NewsTokenTable, Recommender
 from .tensor import Adam, ComputationTape, ShapeError, Tensor
@@ -289,7 +290,7 @@ def mlm_pretrain(sequences: list[TokenSequence], encoder, vocab_size: int,
     """
     if not sequences:
         raise ValueError("empty pretraining corpus")
-    if encoder.spec.kind != "mini_plm":
+    if encoder.spec.kind != MINI_PLM:
         raise ValueError("MLM pretraining requires a mini_plm encoder")
     out_bias = Tensor(np.zeros(vocab_size), requires_grad=True)
     params = dict(encoder.params)

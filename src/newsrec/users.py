@@ -5,9 +5,10 @@ Five interchangeable encoders: a GRU over the click sequence, additive
 attention, personalized attention with a user-id query, a GRU seeded from
 a long-term user embedding, and self-attention followed by additive
 attention.  A row with no real click still gets a finite embedding, the
-same whether it is encoded alone or inside a batch, and a history axis of
-length zero encodes as one all-masked slot.  The two GRU encoders run their
-whole scan as one tape op, ``tensor.gru_scan``.
+same alone or inside a batch except under ``nrms``, whose additive-attention
+mean of W equal rows varies in its last bits with the batch's history width
+W.  A history axis of length zero encodes as one all-masked slot.  The two
+GRU encoders run their whole scan as one tape op, ``tensor.gru_scan``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsrec.cli import main
+from newsrec.cli import _CONSUMERS, main
 from newsrec.data import SyntheticSpec, split_dataset
 from newsrec.encoders import NewsEncoderSpec
 from newsrec.model import ModelSpec
@@ -115,7 +115,7 @@ class TestConfigValidation:
         result = runner.invoke(main, [command, "--config", str(cfg),
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
-        assert "invalid synthetic spec" in result.output
+        assert "invalid dataset.synthetic section" in result.output
 
     @pytest.mark.parametrize("key,value", [
         ("model.news_encoder.num_heads", 0),
@@ -129,7 +129,31 @@ class TestConfigValidation:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("config error: invalid model section")
+        assert result.output.startswith(
+            "config error: invalid model.news_encoder section")
+        assert result.output.count("\n") == 1
+
+    # one out-of-range key per config section that a spec or function reads
+    OUT_OF_RANGE = {
+        "model": ("model.max_title_len", 1),
+        "model.news_encoder": ("model.news_encoder.num_heads", 0),
+        "model.user_encoder": ("model.user_encoder.num_heads", 0),
+        "train": ("train.epochs", 0),
+        "dataset.synthetic": ("dataset.synthetic.num_users", 0),
+        "dataset.split": ("dataset.split.test_fraction", 2),
+        "dataset.vocab": ("dataset.vocab.min_count", 0),
+    }
+
+    @pytest.mark.parametrize("path", sorted(_CONSUMERS))
+    def test_range_error_names_its_section(self, runner, tmp_path, path):
+        key, value = self.OUT_OF_RANGE[path]
+        cfg = _write_config(tmp_path, {key: value})
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"config error: invalid {path} "
+                                        "section: ")
         assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize("command,overrides", [
@@ -715,8 +739,9 @@ class TestCompare:
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         lines = (out / "comparison.csv").read_text().splitlines()
-        assert lines[0].startswith("variant,param_count,auc_mean")
-        assert "reference_auc" in lines[0]
+        assert lines[0] == ("variant,param_count,auc_mean,auc_std,mrr_mean,"
+                            "mrr_std,ndcg5_mean,ndcg5_std,ndcg10_mean,"
+                            "ndcg10_std")
         assert len(lines) == 4
         assert [l.split(",")[0] for l in lines[1:]] \
             == ["cls", "average", "attention"]

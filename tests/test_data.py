@@ -211,17 +211,20 @@ def test_corrupted_tsv_warns_or_is_data_error(tmp_path_factory, which, edits):
 
 
 class TestSynthetic:
+    # a spec check is a config error, so it raises a plain ValueError
     def test_spec_validation(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(num_users=0)
-        with pytest.raises(DataError):
-            SyntheticSpec(markets=[])
+        for bad in ({"num_users": 0}, {"markets": []}):
+            with pytest.raises(ValueError) as info:
+                SyntheticSpec(**bad)
+            assert not isinstance(info.value, DataError)
 
     @pytest.mark.parametrize("markets", [[""], ["EN-US", ""], ["en-us", "en-us"],
                                          ["EN-US", "en-us"], ["EN-US", "ENUS"]])
     def test_markets_must_have_distinct_tags(self, markets):
-        with pytest.raises(DataError, match="markets must be non-empty"):
+        with pytest.raises(ValueError,
+                           match="markets must be non-empty") as info:
             SyntheticSpec(markets=markets)
+        assert not isinstance(info.value, DataError)
 
     def test_spec_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from newsrec import encoders
 from newsrec.data import SyntheticSpec, generate_synthetic
 from newsrec.encoders import (ENCODER_KINDS, POOL_MODES, NewsEncoderSpec,
                               pool_batch)
@@ -368,12 +369,14 @@ def _tiny_model(kind="cnn", pooling="attention"):
 class TestEncodeAllNews:
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     @pytest.mark.parametrize("pooling", POOL_MODES)
-    def test_matches_full_width_rows_in_table_order(self, kind, pooling):
+    def test_matches_full_width_rows_in_table_order(self, kind, pooling,
+                                                     monkeypatch):
         model, table, _ = _tiny_model(kind, pooling)
         lengths = table.mask.sum(axis=1)
         assert len(set(lengths)) > 2 and np.any(np.diff(lengths) < 0)
         enc = model.news_encoder
-        out = encode_all_news(model, table, chunk=7)
+        monkeypatch.setattr(encoders, "ENCODE_CHUNK", 7)
+        out = encode_all_news(model, table)
         assert out.shape == (len(table), enc.spec.d_model)
         for i in range(len(table)):
             ids, mask = table.ids[i:i + 1], table.mask[i:i + 1]
