@@ -446,6 +446,7 @@ def _compare_variants(cfg):
             fields_of(variant))
         if "epochs" in cmp_cfg:
             out.setdefault("train", {})["epochs"] = cmp_cfg["epochs"]
+        model_spec_from(out)  # a bad variant exits before any training
         variant_cfgs.append((variant, out))
     return axis, variant_cfgs, num_seeds
 

@@ -12,6 +12,8 @@ tokens), ATTENTION (additive attention over all real tokens including CLS).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -22,6 +24,10 @@ from .tensor import Tensor
 
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
 ENCODE_CHUNK = 256  # titles per forward pass when encoding a whole table
+# fewest titles per block of a forward-only ``embed`` split across cores.  On
+# a 2-core box, splitting a 256-title batch in two made it 23 % faster, and
+# splitting a 64- or 128-title batch in two made it 6 % or 4 % slower
+BLOCK_MIN = 128
 
 CNN = "cnn"
 SELF_ATTN = "self_attn"
@@ -140,6 +146,27 @@ def _pool_attn_params(rng, d: int) -> dict:
             "pool.q": _init(rng, d, 1)}
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _new_pool():
+    """Set the pool that runs every block of a split ``embed`` call but the
+    first; its threads start at first use.  A forked child gets a new one:
+    it inherits the old pool's record of idle workers but none of their
+    threads, so a block sent to that pool would never run."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(thread_name_prefix="newsrec-embed")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
 class NewsEncoderBase:
     """Shared surface: batched forward to hidden states, plus pooling."""
 
@@ -166,9 +193,28 @@ class NewsEncoderBase:
 
         Trailing columns that are PAD in every row are dropped before the
         forward pass (``trim_padding``), so the batch is only as wide as
-        its longest title.
+        its longest title.  A forward-only call (no tape open on the calling
+        thread, no ``rng``) of at least ``2 * BLOCK_MIN`` titles runs as
+        contiguous blocks of at least ``BLOCK_MIN`` titles, at most one per
+        core, each at the batch's width; the calling thread runs the first.
+        Every op of the forward pass and of pooling is independent per
+        title, so the result is bitwise the single pass's.
         """
         ids, mask = trim_padding(ids, mask)
+        blocks = min(_cores(), len(ids) // BLOCK_MIN)
+        if rng is not None or T._tape() is not None or blocks < 2:
+            return self._embed_block(ids, mask, rng)
+        cuts = [len(ids) * i // blocks for i in range(blocks + 1)]
+        jobs = [_POOL.submit(self._embed_block, ids[s:e], mask[s:e])
+                for s, e in zip(cuts[1:-1], cuts[2:])]
+        try:
+            first = self._embed_block(ids[:cuts[1]], mask[:cuts[1]])
+        finally:
+            wait(jobs)  # no block outlives the call, whichever one raised
+        return Tensor._make(np.concatenate(
+            [first.data] + [job.result().data for job in jobs]))
+
+    def _embed_block(self, ids, mask, rng=None) -> Tensor:
         return pool_batch(self.forward(ids, mask, rng=rng), mask,
                           self.spec.pooling, self.params)
 

@@ -2,9 +2,9 @@
 
 Everything in this package that needs gradients is built from the ops in
 this module.  Tensors wrap row-major numpy arrays; operations executed
-while a ComputationTape is active are recorded and can be replayed in
-reverse by ``backward``.  With no active tape, ops are plain numpy
-forward computations (used for evaluation).
+while a ComputationTape is active on the calling thread are recorded and
+can be replayed in reverse by ``backward``.  With no active tape, ops are
+plain numpy forward computations (used for evaluation).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import ctypes
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ def _pin_blas_threads() -> bool:
 BLAS_PINNED = _pin_blas_threads()
 
 # glibc's mallopt parameters and the values they are fixed at
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _TRIM_THRESHOLD = 512 << 20
 _MMAP_THRESHOLD = 32 << 20  # mallopt(3)'s documented maximum on 64-bit
 
@@ -90,6 +91,9 @@ def _keep_freed_memory() -> bool:
     thresholds move with the sizes freed so far, so each step's tape and
     temporaries are returned when the step ends and faulted in again by
     the next step.  Fixing both thresholds turns that adjustment off.
+    One arena lets threads that encode news (``encoders.NewsEncoderBase.
+    embed``) reuse the heap the main thread freed, instead of faulting in
+    arenas of their own.
     """
     if os.name != "posix":
         return False
@@ -99,7 +103,8 @@ def _keep_freed_memory() -> bool:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 HEAP_KEPT = _keep_freed_memory()
@@ -183,7 +188,15 @@ class _Entry:
         self.backward_fn = backward_fn
 
 
-_TAPE_STACK: list["ComputationTape"] = []
+class _TapeStack(threading.local):
+    """The open tapes of one thread, innermost last: a tape records only
+    the ops of the thread that opened it."""
+
+    def __init__(self):
+        self.tapes: list[ComputationTape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class ComputationTape:
@@ -194,11 +207,11 @@ class ComputationTape:
         self._consumed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
     def backward(self, loss: Tensor,
@@ -239,7 +252,9 @@ class ComputationTape:
 
 
 def _tape() -> ComputationTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The calling thread's innermost open tape, if any."""
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _record(inputs, out: Tensor, backward_fn):

@@ -774,6 +774,19 @@ class TestCompare:
         assert result.exit_code == 2
         assert result.output == "config error: invalid depth variant 'x'\n"
 
+    def test_bad_pooling_variant_exits_before_training(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, {"compare": {
+            "axis": "pooling", "variants": ["cls", "bogus"], "num_seeds": 1,
+            "epochs": 1}})
+        out = tmp_path / "cmp"
+        result = runner.invoke(main, ["compare", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == ("config error: invalid model.news_encoder "
+                                 "section: unknown pooling mode 'bogus'\n")
+        assert not (out / "comparison.csv").exists()
+        assert not (out / "comparison.txt").exists()
+
     def test_unknown_axis(self, runner, tmp_path):
         cfg = _write_config(tmp_path,
                             {"compare": {"axis": "optimizer", "num_seeds": 1}})

@@ -1,10 +1,13 @@
 """News encoders: CNN / self-attention / mini PLM, pooling, finetune policy,
 parameter counts."""
 
+import sys
+
 import numpy as np
 import pytest
 from dense_oracles import dense_mini_plm_forward, dense_self_attn_forward
 
+from newsrec import encoders
 from newsrec import tensor as T
 from newsrec.encoders import (CNN, MINI_PLM, POOL_MODES, SELF_ATTN,
                               NewsEncoderSpec, apply_finetune_policy,
@@ -272,6 +275,113 @@ class TestPaddingInvariance:
         enc = build_news_encoder(_spec(CNN), VOCAB, M, seed=0)
         with pytest.raises(ValueError, match="fully masked"):
             enc.embed(np.zeros((2, M), dtype=np.int64), np.zeros((2, M)))
+
+
+class _CountingPool:
+    """Passes blocks to the real pool and counts them."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs = pool, 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return self.pool.submit(*args, **kwargs)
+
+
+def _split_batch(rng, n=400):
+    """``n`` titles of mixed lengths: the first half at most 5 tokens long,
+    so that the first of two blocks is narrower than the batch's width."""
+    lengths = np.concatenate([rng.integers(1, 6, size=n // 2),
+                              rng.integers(1, M + 1, size=n - n // 2)])
+    lengths[-1] = M
+    return _ragged_batch(rng, lengths)
+
+
+class TestSplitEmbed:
+    """A forward-only ``embed`` of at least 2 * BLOCK_MIN titles runs as one
+    block per core, bitwise equal to the single pass."""
+
+    @pytest.fixture(autouse=True)
+    def _switch_threads_often(self):
+        """Blocks that shared state would then be likelier to interleave
+        on it."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _embed(self, monkeypatch, enc, ids, mask, cores, **kw):
+        pool = _CountingPool(encoders._POOL)
+        with monkeypatch.context() as m:
+            m.setattr(encoders, "_cores", lambda: cores)
+            m.setattr(encoders, "_POOL", pool)
+            return enc.embed(ids, mask, **kw).data, pool.jobs
+
+    @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
+    @pytest.mark.parametrize("pooling", POOL_MODES)
+    def test_blocks_are_bitwise_the_single_pass(self, kind, pooling,
+                                                monkeypatch):
+        enc = build_news_encoder(_spec(kind, pooling=pooling, depth=3), VOCAB,
+                                 M, seed=21)
+        ids, mask = _split_batch(np.random.default_rng(21))
+        single, jobs = self._embed(monkeypatch, enc, ids, mask, cores=1)
+        assert jobs == 0
+        for cores, blocks in ((2, 2), (3, 3), (4, 3)):  # 400 // 128 = 3
+            split, jobs = self._embed(monkeypatch, enc, ids, mask, cores)
+            assert jobs == blocks - 1
+            assert split.tobytes() == single.tobytes()
+
+    def test_blocks_read_the_frozen_prefix(self, monkeypatch):
+        enc = build_news_encoder(_spec(MINI_PLM, depth=3, finetune_last_k=1),
+                                 VOCAB, M, seed=22)
+        apply_finetune_policy(enc)
+        ids, mask = _split_batch(np.random.default_rng(22))
+        uncached, _ = self._embed(monkeypatch, enc, ids, mask, cores=1)
+        with enc.frozen_prefix(ids, mask):
+            single, _ = self._embed(monkeypatch, enc, ids, mask, cores=1)
+            split, jobs = self._embed(monkeypatch, enc, ids, mask, cores=2)
+        assert jobs == 1
+        assert split.tobytes() == single.tobytes() == uncached.tobytes()
+
+    def test_small_batches_run_whole(self, monkeypatch):
+        enc = build_news_encoder(_spec(SELF_ATTN), VOCAB, M, seed=23)
+        ids, mask = _split_batch(np.random.default_rng(23),
+                                 n=2 * encoders.BLOCK_MIN - 1)
+        _, jobs = self._embed(monkeypatch, enc, ids, mask, cores=2)
+        assert jobs == 0
+
+    def test_taped_and_dropout_calls_run_whole(self, monkeypatch):
+        enc = build_news_encoder(_spec(MINI_PLM, dropout=0.3), VOCAB, M,
+                                 seed=24)
+        ids, mask = _split_batch(np.random.default_rng(24))
+        entries, outs = [], []
+        for cores in (1, 2):
+            with ComputationTape() as tape:
+                out, jobs = self._embed(monkeypatch, enc, ids, mask, cores)
+            assert jobs == 0
+            entries.append(len(tape.entries))
+            out, jobs = self._embed(monkeypatch, enc, ids, mask, cores,
+                                    rng=np.random.default_rng(5))
+            assert jobs == 0
+            outs.append(out)
+        assert entries[0] == entries[1] > 0
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
+    def test_error_in_a_later_block_reaches_the_caller(self, kind,
+                                                       monkeypatch):
+        enc = build_news_encoder(_spec(kind), VOCAB, M, seed=25)
+        ids, mask = _split_batch(np.random.default_rng(25))
+        ids[200], mask[200] = 0, 0.0  # fully masked, in the second block
+        errors = []
+        for cores in (1, 2):
+            with pytest.raises(ValueError) as info:
+                self._embed(monkeypatch, enc, ids, mask, cores)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (
+            ValueError, "cannot pool a fully masked sequence")
 
 
 class TestPooling:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -366,6 +367,11 @@ def _tiny_model(kind="cnn", pooling="attention"):
     return model, NewsTokenTable(arts, vocab, 12), imps
 
 
+def _send_encoding(conn, model, table):
+    conn.send(encode_all_news(model, table))
+    conn.close()
+
+
 class TestEncodeAllNews:
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     @pytest.mark.parametrize("pooling", POOL_MODES)
@@ -382,6 +388,27 @@ class TestEncodeAllNews:
             ids, mask = table.ids[i:i + 1], table.mask[i:i + 1]
             ref = pool_batch(enc.forward(ids, mask), mask, pooling, enc.params)
             assert np.max(np.abs(out[i] - ref.data[0])) < 1e-12
+
+    def test_forked_child_encodes_like_its_parent(self, monkeypatch):
+        """A child forked after the parent split an encode across threads
+        inherits no worker thread; its encode must not wait for one."""
+        monkeypatch.setattr(encoders, "_cores", lambda: 2)
+        monkeypatch.setattr(encoders, "BLOCK_MIN", 4)  # 50 titles: 2 blocks
+        model, table, _ = _tiny_model("mini_plm")
+        parent = encode_all_news(model, table)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_encoding, args=(send, model, table))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "the forked child's encode never finished"
+            assert recv.recv().tobytes() == parent.tobytes()
+        finally:
+            child.kill()
+            child.join(30)
+            recv.close()
+        assert not child.is_alive()
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 """Autodiff core: ops, backward pass, Adam, gradient checking, checkpoints."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,23 @@ class TestBackward:
             y = x * 2.0
             with pytest.raises(ShapeError):
                 tape.backward(y, {"x": x})
+
+    def test_tape_records_only_the_thread_that_opened_it(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seen = {}
+
+        def other_thread():
+            seen["tape"] = T._tape()
+            seen["out"] = T.tanh(x)
+
+        with ComputationTape() as tape:
+            y = T.tanh(x)
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        assert [e.output for e in tape.entries] == [y]
+        assert seen["tape"] is None
+        assert np.array_equal(seen["out"].data, y.data)
 
     def test_second_backward_rejected(self):
         x = Tensor([1.0], requires_grad=True)
