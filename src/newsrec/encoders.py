@@ -25,8 +25,9 @@ from .tensor import Tensor
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
 ENCODE_CHUNK = 256  # titles per forward pass when encoding a whole table
 # fewest titles per block of a forward-only ``embed`` split across cores.  On
-# a 2-core box, splitting a 256-title batch in two made it 23 % faster, and
-# splitting a 64- or 128-title batch in two made it 6 % or 4 % slower
+# a shared 2-core VM (mini PLM, d 32, depth 4, 12-token titles), splitting a
+# 256-title batch in two cut its time by 23-39 %; splitting a 64- or
+# 128-title batch in two read from 6 % slower to faster, inside the VM's noise
 BLOCK_MIN = 128
 
 CNN = "cnn"

@@ -91,9 +91,9 @@ def _keep_freed_memory() -> bool:
     thresholds move with the sizes freed so far, so each step's tape and
     temporaries are returned when the step ends and faulted in again by
     the next step.  Fixing both thresholds turns that adjustment off.
-    One arena lets threads that encode news (``encoders.NewsEncoderBase.
-    embed``) reuse the heap the main thread freed, instead of faulting in
-    arenas of their own.
+    One arena lets the threads of a split news ``embed`` (``encoders``)
+    reuse the heap the main thread freed, instead of faulting in arenas of
+    their own.
     """
     if os.name != "posix":
         return False

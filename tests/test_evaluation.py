@@ -389,6 +389,16 @@ class TestEncodeAllNews:
             ref = pool_batch(enc.forward(ids, mask), mask, pooling, enc.params)
             assert np.max(np.abs(out[i] - ref.data[0])) < 1e-12
 
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    def test_bitwise_on_one_and_two_cores(self, kind, monkeypatch):
+        model, table, _ = _tiny_model(kind)
+        monkeypatch.setattr(encoders, "BLOCK_MIN", 4)  # 50 titles: 2 blocks
+        outs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(encoders, "_cores", lambda: cores)
+            outs.append(encode_all_news(model, table).tobytes())
+        assert outs[0] == outs[1]
+
     def test_forked_child_encodes_like_its_parent(self, monkeypatch):
         """A child forked after the parent split an encode across threads
         inherits no worker thread; its encode must not wait for one."""
