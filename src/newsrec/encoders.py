@@ -8,12 +8,16 @@ run their per-token layers on the real tokens only, packed as (R, d) rows,
 and scatter the result into a (B, M, d) output that is zero at PAD
 positions.  Pooling modes: CLS (row 0), AVERAGE (mean over real non-CLS
 tokens), ATTENTION (additive attention over all real tokens including CLS).
+
+Titles that no tape records (a forward-only ``embed`` and the mini PLM's
+frozen prefix) go through one runner, ``_map_buckets``: length-sorted
+chunks, run as blocks on a thread pool that lives for the call.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -23,12 +27,12 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
-ENCODE_CHUNK = 256  # titles per forward pass when encoding a whole table
-# fewest titles per block of a forward-only ``embed`` split across cores.  On
-# a shared 2-core VM (mini PLM, d 32, depth 4, 12-token titles), splitting a
+ENCODE_CHUNK = 256  # titles per length bucket, trimmed to its longest title
+# most titles per block of a bucket, the unit that runs on one core.  On a
+# shared 2-core VM (mini PLM, d 32, depth 4, 12-token titles), splitting a
 # 256-title batch in two cut its time by 23-39 %; splitting a 64- or
 # 128-title batch in two read from 6 % slower to faster, inside the VM's noise
-BLOCK_MIN = 128
+ENCODE_BLOCK = 128
 
 CNN = "cnn"
 SELF_ATTN = "self_attn"
@@ -154,18 +158,33 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _new_pool():
-    """Set the pool that runs every block of a split ``embed`` call but the
-    first; its threads start at first use.  A forked child gets a new one:
-    it inherits the old pool's record of idle workers but none of their
-    threads, so a block sent to that pool would never run."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(thread_name_prefix="newsrec-embed")
+def _map_buckets(fn, ids: np.ndarray, mask: np.ndarray) -> list:
+    """[(batch rows, ``fn(ids, mask)`` of those rows)] per block of the
+    titles of a (B, M) batch that no tape records.
 
+    The titles are sorted by real length (stable) and cut into chunks of
+    ``ENCODE_CHUNK``, each trimmed to its longest title, then into blocks
+    of at most ``ENCODE_BLOCK`` titles at the chunk's width.  The blocks
+    run on a pool of one thread per core that is shut down before the call
+    returns, or on the calling thread when there is one block or one core;
+    the first failing block's error reaches the caller.
+    """
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    blocks = []
+    for start in range(0, len(order), ENCODE_CHUNK):
+        chunk = order[start:start + ENCODE_CHUNK]
+        c_ids, c_mask = trim_padding(ids[chunk], mask[chunk])
+        blocks += [(chunk[s:s + ENCODE_BLOCK], c_ids[s:s + ENCODE_BLOCK],
+                    c_mask[s:s + ENCODE_BLOCK])
+                   for s in range(0, len(chunk), ENCODE_BLOCK)]
+    def run(block):
+        return block[0], fn(block[1], block[2])
 
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+    workers = min(_cores(), len(blocks))
+    if workers < 2:
+        return [run(block) for block in blocks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, blocks))
 
 
 class NewsEncoderBase:
@@ -190,30 +209,19 @@ class NewsEncoderBase:
         raise NotImplementedError
 
     def embed(self, ids: np.ndarray, mask: np.ndarray, rng=None) -> Tensor:
-        """(B, M) -> (B, d) pooled news embeddings.
+        """(B, M) -> (B, d) pooled news embeddings, row i title i's.
 
-        Trailing columns that are PAD in every row are dropped before the
-        forward pass (``trim_padding``), so the batch is only as wide as
-        its longest title.  A forward-only call (no tape open on the calling
-        thread, no ``rng``) of at least ``2 * BLOCK_MIN`` titles runs as
-        contiguous blocks of at least ``BLOCK_MIN`` titles, at most one per
-        core, each at the batch's width; the calling thread runs the first.
-        Every op of the forward pass and of pooling is independent per
-        title, so the result is bitwise the single pass's.
+        A taped call, or one with a dropout ``rng``, is one forward pass at
+        the batch's ``trim_padding`` width.  Any other call runs in the
+        blocks of ``_map_buckets``; every op of the forward pass and of
+        pooling is independent per title, so the core count changes no bit.
         """
-        ids, mask = trim_padding(ids, mask)
-        blocks = min(_cores(), len(ids) // BLOCK_MIN)
-        if rng is not None or T._tape() is not None or blocks < 2:
-            return self._embed_block(ids, mask, rng)
-        cuts = [len(ids) * i // blocks for i in range(blocks + 1)]
-        jobs = [_POOL.submit(self._embed_block, ids[s:e], mask[s:e])
-                for s, e in zip(cuts[1:-1], cuts[2:])]
-        try:
-            first = self._embed_block(ids[:cuts[1]], mask[:cuts[1]])
-        finally:
-            wait(jobs)  # no block outlives the call, whichever one raised
-        return Tensor._make(np.concatenate(
-            [first.data] + [job.result().data for job in jobs]))
+        if rng is not None or T._tape() is not None:
+            return self._embed_block(*trim_padding(ids, mask), rng)
+        out = np.empty((len(ids), self.spec.d_model))
+        for rows, h in _map_buckets(self._embed_block, ids, mask):
+            out[rows] = h.data
+        return Tensor._make(out)
 
     def _embed_block(self, ids, mask, rng=None) -> Tensor:
         return pool_batch(self.forward(ids, mask, rng=rng), mask,
@@ -366,26 +374,27 @@ class MiniPlmEncoder(NewsEncoderBase):
     @contextmanager
     def frozen_prefix(self, ids, mask):
         """Compute the frozen prefix's output for every title of ``ids``/
-        ``mask`` once, ``ENCODE_CHUNK`` titles at a time in their order, as
-        packed real-token rows (real tokens x d floats); ``forward`` reads it
-        until the context exits, however it exits."""
+        ``mask`` once, in the blocks of ``_map_buckets``, as packed
+        real-token rows (real tokens x d floats); ``forward`` reads it until
+        the context exits, however it exits."""
         layers = 0
         while layers <= self.spec.depth and not self._trains(layers):
             layers += 1
         if layers == 0:
             yield
             return
+
+        def block(b_ids, b_mask):
+            rows = real_rows(b_mask)
+            return _titles(b_ids, rows), self._layers(
+                None, 0, layers, b_ids, b_mask, rows, None).data
         parts, index, total = [], {}, 0
-        for start in range(0, len(ids), ENCODE_CHUNK):
-            end = start + ENCODE_CHUNK
-            c_ids, c_mask = trim_padding(ids[start:end], mask[start:end])
-            rows = real_rows(c_mask)
-            for key, span in _titles(c_ids, rows):
+        for _, (titles, h) in _map_buckets(block, ids, mask):
+            for key, span in titles:
                 index.setdefault(key, np.arange(total + span.start,
                                                 total + span.stop))
-            parts.append(self._layers(None, 0, layers, c_ids, c_mask, rows,
-                                      None).data)
-            total += len(rows)
+            parts.append(h)
+            total += len(h)
         self.prefix = (layers, Tensor(np.concatenate(parts)), index)
         try:
             yield

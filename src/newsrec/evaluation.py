@@ -4,9 +4,9 @@ projection of news embeddings, and silhouette-based discriminability.
 AUC uses the rank-sum formulation with ties counted 0.5; MRR and nDCG rank
 by descending score with stable index-order tie-breaking.
 
-Only ``discriminability`` needs ``scipy.spatial`` (for ``cdist``), and it
-imports it when called, so importing this module loads neither
-``scipy.stats`` nor ``scipy.spatial``.
+``encode_all_news`` is one no-grad ``embed`` over the whole table.  Only
+``discriminability`` needs ``scipy.spatial`` (for ``cdist``) and imports it
+when called: importing this module loads neither it nor ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import encoders
 
 METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
 
@@ -106,7 +104,7 @@ def ndcg_at_k(scores, labels, k: int) -> float:
     return float(ndcg[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class ImpressionMetrics:
     auc: float
     mrr: float
@@ -180,20 +178,9 @@ def score_impressions(scores_labels) -> EvalReport:
 
 
 def encode_all_news(model, table) -> np.ndarray:
-    """(N, d) news embedding matrix under the current parameters (no grad).
-
-    Titles are encoded shortest first, ``encoders.ENCODE_CHUNK`` at a time,
-    so that each chunk is only as wide as its longest title; row i of the
-    result is still the table's row i.
-    """
-    order = np.argsort(table.mask.sum(axis=1), kind="stable")
-    out = np.empty((len(table), model.spec.news.d_model))
-    chunk = encoders.ENCODE_CHUNK
-    for start in range(0, len(order), chunk):
-        rows = order[start:start + chunk]
-        out[rows] = model.news_encoder.embed(table.ids[rows],
-                                             table.mask[rows]).data
-    return out
+    """(N, d) news embedding matrix under the current parameters (no grad);
+    row i is the table's row i."""
+    return model.news_encoder.embed(table.ids, table.mask).data
 
 
 def evaluate(model, impressions, table, score_override=None) -> EvalReport:

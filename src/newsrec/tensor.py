@@ -91,7 +91,7 @@ def _keep_freed_memory() -> bool:
     thresholds move with the sizes freed so far, so each step's tape and
     temporaries are returned when the step ends and faulted in again by
     the next step.  Fixing both thresholds turns that adjustment off.
-    One arena lets the threads of a split news ``embed`` (``encoders``)
+    One arena lets the threads that encode news blocks (``encoders``)
     reuse the heap the main thread freed, instead of faulting in arenas of
     their own.
     """
@@ -917,9 +917,9 @@ def assign_parameters(params: dict[str, Tensor],
                       arrays: dict[str, np.ndarray]):
     """Copy ``arrays`` into the tensors of ``params`` of the same names.
 
-    Every name and shape is checked before the first copy: a missing,
-    unexpected or wrongly shaped tensor raises CheckpointError and leaves
-    ``params`` as they were.
+    Every name, shape and value is checked before the first copy: a
+    missing, unexpected, wrongly shaped or non-finite tensor raises
+    CheckpointError naming it and leaves ``params`` as they were.
     """
     if missing := sorted(set(params) - set(arrays)):
         raise CheckpointError(f"checkpoint missing parameters: {missing[:5]}")
@@ -930,5 +930,7 @@ def assign_parameters(params: dict[str, Tensor],
         if params[name].data.shape != arr.shape:
             raise CheckpointError(f"shape mismatch for {name!r}: "
                                   f"{params[name].data.shape} vs {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite values in {name!r}")
     for name, arr in arrays.items():
         params[name].data = arr.copy()

@@ -5,12 +5,14 @@ tokens only.  The functions here are the same computations over every
 (B, M) slot, PAD slots included: the attention op as one tape entry over
 (B, M, d) states, and the encoders' forward passes built on it.  Tests
 compare the packed path against them at the real positions.
+``bucketed_embed`` spells out the chunk rule of a no-tape ``embed``.
 """
 
 import numpy as np
 
 from newsrec import tensor as T
-from newsrec.encoders import additive_attention, key_mask_bias
+from newsrec.encoders import (ENCODE_CHUNK, additive_attention, key_mask_bias,
+                              trim_padding)
 
 
 def dense_attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads):
@@ -91,3 +93,16 @@ def dense_nrms_forward(enc, hist, mask):
     p = enc.params
     ctx = _dense_mha(hist, mask, p, "selfattn.", enc.spec.num_heads)
     return additive_attention(ctx, mask, p["attn.w"], p["attn.b"], p["attn.q"])
+
+
+def bucketed_embed(encoder, ids, mask):
+    """The rule by which a no-tape ``embed`` batches its titles, written out:
+    sorted by real length (stable), ``ENCODE_CHUNK`` titles at a time, each
+    chunk one pass trimmed to its longest title; row i is title i's."""
+    out = np.empty((len(ids), encoder.spec.d_model))
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    for start in range(0, len(ids), ENCODE_CHUNK):
+        rows = order[start:start + ENCODE_CHUNK]
+        out[rows] = encoder._embed_block(*trim_padding(ids[rows],
+                                                       mask[rows])).data
+    return out

@@ -16,7 +16,7 @@ from newsrec.cli import _CONSUMERS, main
 from newsrec.data import SyntheticSpec, split_dataset
 from newsrec.encoders import NewsEncoderSpec
 from newsrec.model import ModelSpec
-from newsrec.tensor import load_checkpoint
+from newsrec.tensor import Tensor, load_checkpoint, save_checkpoint
 from newsrec.text import build_vocab
 from newsrec.training import TrainConfig
 from newsrec.users import UserEncoderSpec
@@ -725,6 +725,38 @@ class TestFromPretrained:
         self._assert_one_line_error(
             result, 2, "config error: --from-pretrained requires "
                        "news_encoder.kind=mini_plm")
+
+
+class TestNonFiniteCheckpoint:
+    """A checkpoint tensor that holds NaN or inf is a data error naming it,
+    raised before anything is computed or written."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings",
+                                         "train"])
+    def test_is_data_error_naming_the_tensor(self, runner, tmp_path, command,
+                                             value):
+        if command == "train":  # --from-pretrained reads an MLM checkpoint
+            overrides, source, flag = TestFromPretrained.PLM, "pretrain", \
+                "--from-pretrained"
+            ckpt, name = tmp_path / "src" / "pretrained.ckpt", "token_emb"
+        else:
+            overrides, source, flag = {}, "train", "--checkpoint"
+            ckpt, name = tmp_path / "src" / "model.ckpt", "news.token_emb"
+        cfg = _write_config(tmp_path, overrides)
+        result = runner.invoke(main, [source, "--config", str(cfg),
+                                      "--out", str(tmp_path / "src")])
+        assert result.exit_code == 0, result.output
+        arrays = load_checkpoint(ckpt)
+        arrays[name][[1, 3, 5, 7]] = value
+        save_checkpoint(ckpt, {k: Tensor._make(v) for k, v in arrays.items()})
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(out), flag, str(ckpt)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"data error: non-finite values in {name!r}\n"
+        assert not out.exists()
 
 
 class TestCompare:

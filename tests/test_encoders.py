@@ -2,10 +2,14 @@
 parameter counts."""
 
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from dense_oracles import dense_mini_plm_forward, dense_self_attn_forward
+from dense_oracles import (bucketed_embed, dense_mini_plm_forward,
+                           dense_self_attn_forward)
 
 from newsrec import encoders
 from newsrec import tensor as T
@@ -277,20 +281,36 @@ class TestPaddingInvariance:
             enc.embed(np.zeros((2, M), dtype=np.int64), np.zeros((2, M)))
 
 
-class _CountingPool:
-    """Passes blocks to the real pool and counts them."""
+@contextmanager
+def _on_cores(cores):
+    """Run ``encoders`` as on ``cores`` cores.  Yields a list that gets
+    [workers, blocks submitted] for each thread pool it opens, and checks
+    on exit, also when the body raises, that no pool thread is alive."""
+    pools = []
 
-    def __init__(self, pool):
-        self.pool, self.jobs = pool, 0
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            super().__init__(workers)
+            self.counts = [workers, 0]
+            pools.append(self.counts)
 
-    def submit(self, *args, **kwargs):
-        self.jobs += 1
-        return self.pool.submit(*args, **kwargs)
+        def submit(self, *args, **kwargs):
+            self.counts[1] += 1
+            return super().submit(*args, **kwargs)
+
+    before = set(threading.enumerate())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(encoders, "_cores", lambda: cores)
+        m.setattr(encoders, "ThreadPoolExecutor", Pool)
+        try:
+            yield pools
+        finally:
+            assert set(threading.enumerate()) <= before, "a pool thread lives"
 
 
 def _split_batch(rng, n=400):
     """``n`` titles of mixed lengths: the first half at most 5 tokens long,
-    so that the first of two blocks is narrower than the batch's width."""
+    so that the shortest chunks are narrower than the batch's width."""
     lengths = np.concatenate([rng.integers(1, 6, size=n // 2),
                               rng.integers(1, M + 1, size=n - n // 2)])
     lengths[-1] = M
@@ -298,8 +318,9 @@ def _split_batch(rng, n=400):
 
 
 class TestSplitEmbed:
-    """A forward-only ``embed`` of at least 2 * BLOCK_MIN titles runs as one
-    block per core, bitwise equal to the single pass."""
+    """A no-tape ``embed`` runs length-sorted chunks of ENCODE_CHUNK titles
+    as blocks of at most ENCODE_BLOCK, one per core, on a pool that lives
+    for the call; the bits are the chunk rule's (``bucketed_embed``)."""
 
     @pytest.fixture(autouse=True)
     def _switch_threads_often(self):
@@ -312,76 +333,76 @@ class TestSplitEmbed:
         finally:
             sys.setswitchinterval(interval)
 
-    def _embed(self, monkeypatch, enc, ids, mask, cores, **kw):
-        pool = _CountingPool(encoders._POOL)
-        with monkeypatch.context() as m:
-            m.setattr(encoders, "_cores", lambda: cores)
-            m.setattr(encoders, "_POOL", pool)
-            return enc.embed(ids, mask, **kw).data, pool.jobs
-
     @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
     @pytest.mark.parametrize("pooling", POOL_MODES)
-    def test_blocks_are_bitwise_the_single_pass(self, kind, pooling,
-                                                monkeypatch):
+    def test_blocks_are_bitwise_the_single_pass(self, kind, pooling):
         enc = build_news_encoder(_spec(kind, pooling=pooling, depth=3), VOCAB,
                                  M, seed=21)
         ids, mask = _split_batch(np.random.default_rng(21))
-        single, jobs = self._embed(monkeypatch, enc, ids, mask, cores=1)
-        assert jobs == 0
-        for cores, blocks in ((2, 2), (3, 3), (4, 3)):  # 400 // 128 = 3
-            split, jobs = self._embed(monkeypatch, enc, ids, mask, cores)
-            assert jobs == blocks - 1
-            assert split.tobytes() == single.tobytes()
+        ref = bucketed_embed(enc, ids, mask)
+        # 400 titles: chunks of 256 and 144, blocks of 128, 128 | 128, 16
+        for cores, pools in ((1, []), (2, [[2, 4]]), (3, [[3, 4]]),
+                             (4, [[4, 4]])):
+            with _on_cores(cores) as opened:
+                out = enc.embed(ids, mask).data
+            assert opened == pools
+            assert out.tobytes() == ref.tobytes()
 
-    def test_blocks_read_the_frozen_prefix(self, monkeypatch):
+    def test_blocks_read_the_frozen_prefix(self):
         enc = build_news_encoder(_spec(MINI_PLM, depth=3, finetune_last_k=1),
                                  VOCAB, M, seed=22)
         apply_finetune_policy(enc)
         ids, mask = _split_batch(np.random.default_rng(22))
-        uncached, _ = self._embed(monkeypatch, enc, ids, mask, cores=1)
-        with enc.frozen_prefix(ids, mask):
-            single, _ = self._embed(monkeypatch, enc, ids, mask, cores=1)
-            split, jobs = self._embed(monkeypatch, enc, ids, mask, cores=2)
-        assert jobs == 1
-        assert split.tobytes() == single.tobytes() == uncached.tobytes()
+        outs = []
+        for cores in (1, 2):
+            with _on_cores(cores) as opened:
+                uncached = enc.embed(ids, mask).data
+                with enc.frozen_prefix(ids, mask):
+                    cached = enc.embed(ids, mask).data
+            # the uncached embed, the prefix and the cached embed
+            assert opened == ([] if cores == 1 else [[2, 4]] * 3)
+            assert cached.tobytes() == uncached.tobytes()
+            outs.append(cached.tobytes())
+        assert outs[0] == outs[1]
 
-    def test_small_batches_run_whole(self, monkeypatch):
+    def test_small_batches_run_whole(self):
         enc = build_news_encoder(_spec(SELF_ATTN), VOCAB, M, seed=23)
         ids, mask = _split_batch(np.random.default_rng(23),
-                                 n=2 * encoders.BLOCK_MIN - 1)
-        _, jobs = self._embed(monkeypatch, enc, ids, mask, cores=2)
-        assert jobs == 0
+                                 n=encoders.ENCODE_BLOCK)
+        with _on_cores(2) as opened:
+            enc.embed(ids, mask)
+        assert opened == []
 
-    def test_taped_and_dropout_calls_run_whole(self, monkeypatch):
+    def test_taped_and_dropout_calls_run_whole(self):
         enc = build_news_encoder(_spec(MINI_PLM, dropout=0.3), VOCAB, M,
                                  seed=24)
         ids, mask = _split_batch(np.random.default_rng(24))
         entries, outs = [], []
         for cores in (1, 2):
-            with ComputationTape() as tape:
-                out, jobs = self._embed(monkeypatch, enc, ids, mask, cores)
-            assert jobs == 0
-            entries.append(len(tape.entries))
-            out, jobs = self._embed(monkeypatch, enc, ids, mask, cores,
-                                    rng=np.random.default_rng(5))
-            assert jobs == 0
-            outs.append(out)
+            with _on_cores(cores) as opened:
+                with ComputationTape() as tape:
+                    enc.embed(ids, mask)
+                entries.append(len(tape.entries))
+                out = enc.embed(ids, mask, rng=np.random.default_rng(5))
+                outs.append(out.data.tobytes())
+            assert opened == []
         assert entries[0] == entries[1] > 0
-        assert outs[0].tobytes() == outs[1].tobytes()
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
-    def test_error_in_a_later_block_reaches_the_caller(self, kind,
-                                                       monkeypatch):
+    def test_error_in_a_later_block_reaches_the_caller(self, kind):
         enc = build_news_encoder(_spec(kind), VOCAB, M, seed=25)
         ids, mask = _split_batch(np.random.default_rng(25))
-        ids[200], mask[200] = 0, 0.0  # fully masked, in the second block
+        order = np.argsort(mask.sum(axis=1), kind="stable")
+        for i in order[[300, -1]]:  # in the third and the fourth block
+            ids[i, 1] = VOCAB
         errors = []
         for cores in (1, 2):
-            with pytest.raises(ValueError) as info:
-                self._embed(monkeypatch, enc, ids, mask, cores)
+            with pytest.raises(IndexError) as info, _on_cores(cores):
+                enc.embed(ids, mask)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1] == (
-            ValueError, "cannot pool a fully masked sequence")
+            IndexError, f"id out of range [0, {VOCAB})")
 
 
 class TestPooling:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracles import bucketed_embed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -354,8 +355,8 @@ def test_import_and_evaluate_load_no_scipy_stats_or_spatial():
     assert out["silhouette"] == float(np.mean(sil))
 
 
-def _tiny_model(kind="cnn", pooling="attention"):
-    spec = SyntheticSpec(num_users=20, num_news=50, impressions_per_user=4,
+def _tiny_model(kind="cnn", pooling="attention", num_news=50):
+    spec = SyntheticSpec(num_users=20, num_news=num_news, impressions_per_user=4,
                          candidates_per_impression=6, seed=3)
     arts, imps = generate_synthetic(spec)["EN-US"]
     vocab = build_vocab(a.title for a in arts)
@@ -392,18 +393,26 @@ class TestEncodeAllNews:
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
     def test_bitwise_on_one_and_two_cores(self, kind, monkeypatch):
         model, table, _ = _tiny_model(kind)
-        monkeypatch.setattr(encoders, "BLOCK_MIN", 4)  # 50 titles: 2 blocks
+        monkeypatch.setattr(encoders, "ENCODE_BLOCK", 4)  # 50 titles: 13 blocks
         outs = []
         for cores in (1, 2):
             monkeypatch.setattr(encoders, "_cores", lambda: cores)
             outs.append(encode_all_news(model, table).tobytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("kind", ENCODER_KINDS)
+    def test_large_table_follows_the_chunk_rule(self, kind, monkeypatch):
+        model, table, _ = _tiny_model(kind, num_news=300)
+        ref = bucketed_embed(model.news_encoder, table.ids, table.mask)
+        for cores in (1, 2):
+            monkeypatch.setattr(encoders, "_cores", lambda: cores)
+            assert encode_all_news(model, table).tobytes() == ref.tobytes()
+
     def test_forked_child_encodes_like_its_parent(self, monkeypatch):
         """A child forked after the parent split an encode across threads
         inherits no worker thread; its encode must not wait for one."""
         monkeypatch.setattr(encoders, "_cores", lambda: 2)
-        monkeypatch.setattr(encoders, "BLOCK_MIN", 4)  # 50 titles: 2 blocks
+        monkeypatch.setattr(encoders, "ENCODE_BLOCK", 4)  # 50 titles: 13 blocks
         model, table, _ = _tiny_model("mini_plm")
         parent = encode_all_news(model, table)
         ctx = multiprocessing.get_context("fork")
