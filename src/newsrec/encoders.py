@@ -159,26 +159,26 @@ def _cores() -> int:
 
 
 def _map_buckets(fn, ids: np.ndarray, mask: np.ndarray) -> list:
-    """[(batch rows, ``fn(ids, mask)`` of those rows)] per block of the
+    """[``fn(rows, ids[rows], mask[rows])`` per block ``rows``] over the
     titles of a (B, M) batch that no tape records.
 
     The titles are sorted by real length (stable) and cut into chunks of
-    ``ENCODE_CHUNK``, each trimmed to its longest title, then into blocks
-    of at most ``ENCODE_BLOCK`` titles at the chunk's width.  The blocks
-    run on a pool of one thread per core that is shut down before the call
-    returns, or on the calling thread when there is one block or one core;
-    the first failing block's error reaches the caller.
+    ``ENCODE_CHUNK``, then into blocks of at most ``ENCODE_BLOCK``, each
+    sliced when it runs and trimmed to its chunk's longest title.  The
+    blocks run on a pool of one thread per core that is shut down before
+    the call returns, or on the calling thread when there is one block or
+    one core; the first failing block's error reaches the caller.
     """
     order = np.argsort(mask.sum(axis=1), kind="stable")
-    blocks = []
+    blocks = []  # (batch rows, the trimmed width of their chunk)
     for start in range(0, len(order), ENCODE_CHUNK):
         chunk = order[start:start + ENCODE_CHUNK]
-        c_ids, c_mask = trim_padding(ids[chunk], mask[chunk])
-        blocks += [(chunk[s:s + ENCODE_BLOCK], c_ids[s:s + ENCODE_BLOCK],
-                    c_mask[s:s + ENCODE_BLOCK])
+        width = trim_padding(ids[chunk], mask[chunk])[1].shape[1]
+        blocks += [(chunk[s:s + ENCODE_BLOCK], width)
                    for s in range(0, len(chunk), ENCODE_BLOCK)]
     def run(block):
-        return block[0], fn(block[1], block[2])
+        rows, width = block
+        return fn(rows, ids[rows, :width], mask[rows, :width])
 
     workers = min(_cores(), len(blocks))
     if workers < 2:
@@ -219,8 +219,9 @@ class NewsEncoderBase:
         if rng is not None or T._tape() is not None:
             return self._embed_block(*trim_padding(ids, mask), rng)
         out = np.empty((len(ids), self.spec.d_model))
-        for rows, h in _map_buckets(self._embed_block, ids, mask):
-            out[rows] = h.data
+        def block(rows, b_ids, b_mask):  # blocks write disjoint rows
+            out[rows] = self._embed_block(b_ids, b_mask).data
+        _map_buckets(block, ids, mask)
         return Tensor._make(out)
 
     def _embed_block(self, ids, mask, rng=None) -> Tensor:
@@ -384,12 +385,12 @@ class MiniPlmEncoder(NewsEncoderBase):
             yield
             return
 
-        def block(b_ids, b_mask):
+        def block(_, b_ids, b_mask):
             rows = real_rows(b_mask)
             return _titles(b_ids, rows), self._layers(
                 None, 0, layers, b_ids, b_mask, rows, None).data
         parts, index, total = [], {}, 0
-        for _, (titles, h) in _map_buckets(block, ids, mask):
+        for titles, h in _map_buckets(block, ids, mask):
             for key, span in titles:
                 index.setdefault(key, np.arange(total + span.start,
                                                 total + span.stop))
