@@ -74,10 +74,11 @@ _ALLOWED = {
 
 def _is_json_type(value, hint) -> bool:
     """Whether JSON ``value`` has type ``hint``: a bool only where a bool is
-    expected, an int also where a float is."""
-    if typing.get_origin(hint) is list:
+    expected, an int also where a float is, a list where a list or a tuple
+    is."""
+    if typing.get_origin(hint) in (list, tuple):
         return isinstance(value, list) and all(
-            _is_json_type(v, *typing.get_args(hint)) for v in value)
+            _is_json_type(v, typing.get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -102,7 +103,8 @@ def _check_section(section, path: str):
         if hint is dict:
             _check_section(value, sub)
         elif not _is_json_type(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
+            name = (hint.__name__ if isinstance(hint, type)  # JSON has lists
+                    else f"list[{typing.get_args(hint)[0].__name__}]")
             raise ConfigError(f"{sub} must be {name}, got {value!r}")
 
 

@@ -10,7 +10,7 @@ structure but render titles in disjoint per-market lexicons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -55,7 +55,7 @@ class SyntheticSpec:
     candidates_per_impression: int = 10
     user_topic_concentration: float = 0.08
     click_temperature: float = 0.04
-    markets: list[str] = field(default_factory=lambda: ["EN-US"])
+    markets: tuple[str, ...] = ("EN-US",)  # a list is stored as a tuple
     seed: int = 17
 
     def __post_init__(self):
@@ -76,6 +76,7 @@ class SyntheticSpec:
         if "" in self.markets or len(tags) < len(self.markets):
             raise ValueError("markets must be non-empty and distinct with '-' "
                              f"dropped and case ignored, got {self.markets}")
+        object.__setattr__(self, "markets", tuple(self.markets))
 
 
 # ---------------------------------------------------------------------------

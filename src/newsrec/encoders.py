@@ -9,9 +9,13 @@ and scatter the result into a (B, M, d) output that is zero at PAD
 positions.  Pooling modes: CLS (row 0), AVERAGE (mean over real non-CLS
 tokens), ATTENTION (additive attention over all real tokens including CLS).
 
-Titles that no tape records (a forward-only ``embed`` and the mini PLM's
-frozen prefix) go through one runner, ``_map_buckets``: length-sorted
-chunks, run as blocks on a thread pool that lives for the call.
+Every reduction over the token axis adds the real tokens in the same
+order whatever follows them, so a title's embedding is bitwise the same
+alone, padded, or in any batch that holds at least two real tokens (a
+product with one row goes to BLAS's GEMV, which rounds otherwise).  Titles
+that no tape records (a forward-only ``embed`` and the mini PLM's frozen
+prefix) go through one runner, ``_map_buckets``: length-sorted blocks, each
+trimmed to its longest title, on a thread pool that lives for the call.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 NEG_BIAS = 1e30  # additive logit penalty for masked keys; exp underflows to 0
-ENCODE_CHUNK = 256  # titles per length bucket, trimmed to its longest title
-# most titles per block of a bucket, the unit that runs on one core.  On a
+# most titles per block, the unit that runs on one core.  On a
 # shared 2-core VM (mini PLM, d 32, depth 4, 12-token titles), splitting a
 # 256-title batch in two cut its time by 23-39 %; splitting a 64- or
 # 128-title batch in two read from 6 % slower to faster, inside the VM's noise
@@ -159,26 +162,21 @@ def _cores() -> int:
 
 
 def _map_buckets(fn, ids: np.ndarray, mask: np.ndarray) -> list:
-    """[``fn(rows, ids[rows], mask[rows])`` per block ``rows``] over the
-    titles of a (B, M) batch that no tape records.
+    """[``fn(rows, *trim_padding(ids[rows], mask[rows]))`` per block
+    ``rows``] over the titles of a (B, M) batch that no tape records.
 
-    The titles are sorted by real length (stable) and cut into chunks of
-    ``ENCODE_CHUNK``, then into blocks of at most ``ENCODE_BLOCK``, each
-    sliced when it runs and trimmed to its chunk's longest title.  The
-    blocks run on a pool of one thread per core that is shut down before
-    the call returns, or on the calling thread when there is one block or
-    one core; the first failing block's error reaches the caller.
+    The titles are sorted by real length (stable) and cut into blocks of at
+    most ``ENCODE_BLOCK``, each sliced and trimmed to its own longest title
+    on the thread that runs it.  The blocks run on a pool of one thread per
+    core that is shut down before the call returns, or on the calling
+    thread when there is one block or one core; the first failing block's
+    error reaches the caller.
     """
     order = np.argsort(mask.sum(axis=1), kind="stable")
-    blocks = []  # (batch rows, the trimmed width of their chunk)
-    for start in range(0, len(order), ENCODE_CHUNK):
-        chunk = order[start:start + ENCODE_CHUNK]
-        width = trim_padding(ids[chunk], mask[chunk])[1].shape[1]
-        blocks += [(chunk[s:s + ENCODE_BLOCK], width)
-                   for s in range(0, len(chunk), ENCODE_BLOCK)]
-    def run(block):
-        rows, width = block
-        return fn(rows, ids[rows, :width], mask[rows, :width])
+    blocks = [order[s:s + ENCODE_BLOCK]
+              for s in range(0, len(order), ENCODE_BLOCK)]
+    def run(rows):
+        return fn(rows, *trim_padding(ids[rows], mask[rows]))
 
     workers = min(_cores(), len(blocks))
     if workers < 2:
@@ -213,8 +211,9 @@ class NewsEncoderBase:
 
         A taped call, or one with a dropout ``rng``, is one forward pass at
         the batch's ``trim_padding`` width.  Any other call runs in the
-        blocks of ``_map_buckets``; every op of the forward pass and of
-        pooling is independent per title, so the core count changes no bit.
+        blocks of ``_map_buckets``; a title's row does not depend on its
+        block (see the module note), so neither the blocks nor the core
+        count change a bit.
         """
         if rng is not None or T._tape() is not None:
             return self._embed_block(*trim_padding(ids, mask), rng)
@@ -416,13 +415,14 @@ def additive_attention(states: Tensor, mask: np.ndarray, w: Tensor, b: Tensor,
                        q: Tensor) -> Tensor:
     """softmax(q^T tanh(states W + b)) over unmasked rows; weighted sum.
 
-    states: (B, M, d); mask: (B, M); q: (d, 1), or (B, d, 1) for one query
-    per row; returns (B, d).
+    states: (B, M, d); mask: (B, M); q: (d, 1), or (B, d) for one query per
+    row; returns (B, d).  The score and the sum are batched ``matmul``
+    products, whose rows do not depend on the batch.
     """
     B, M, d = states.shape
     proj = T.tanh(T.matmul(states, w, b))
-    scores = T.reshape(proj @ q, (B, M))
-    weights = T.softmax(scores + (mask.astype(np.float64) - 1.0) * NEG_BIAS, axis=-1)
+    scores = T.reshape(proj @ T.reshape(q, (-1, d, 1)), (B, M))
+    weights = T.softmax(scores + (mask.astype(np.float64) - 1.0) * NEG_BIAS)
     return T.reshape(T.reshape(weights, (B, 1, M)) @ states, (B, d))
 
 

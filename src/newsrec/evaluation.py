@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import NumericalError
+
 METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
 
 
@@ -177,10 +179,26 @@ def score_impressions(scores_labels) -> EvalReport:
     return report.finalize()
 
 
+def _check_finite(parts, names, what: str):
+    """Raise NumericalError naming ``names[i]`` for the first of the arrays
+    ``parts`` (rows of a 2-D array, or a list) that holds a NaN or an
+    infinity; one ``isfinite`` covers them all."""
+    if len(parts) == 0:
+        return
+    finite = np.isfinite(np.concatenate(parts))
+    if not finite.all():
+        ends = np.cumsum([len(p) for p in parts])
+        i = np.searchsorted(ends, np.argmin(finite), side="right")
+        raise NumericalError(f"non-finite {what} {names[i]}")
+
+
 def encode_all_news(model, table) -> np.ndarray:
     """(N, d) news embedding matrix under the current parameters (no grad);
-    row i is the table's row i."""
-    return model.news_encoder.embed(table.ids, table.mask).data
+    row i is the table's row i.  A row that is not finite raises
+    NumericalError naming the first such news id."""
+    emb = model.news_encoder.embed(table.ids, table.mask).data
+    _check_finite(emb, table.news_ids, "embedding for news")
+    return emb
 
 
 def evaluate(model, impressions, table, score_override=None) -> EvalReport:
@@ -189,7 +207,9 @@ def evaluate(model, impressions, table, score_override=None) -> EvalReport:
     ``score_override`` replaces model scores for debugging: a callable
     mapping (labels array) -> scores array (e.g. the oracle scorer).
     ``metadata["cold_start_impressions"]`` counts the impressions whose
-    capped history holds no news of ``table``.
+    capped history holds no news of ``table``.  A user vector or a score
+    that is not finite raises NumericalError naming the first impression
+    that holds one.
     """
     # encode the news first, so that its peak memory is not stacked on
     # the per-impression lists
@@ -205,11 +225,16 @@ def evaluate(model, impressions, table, score_override=None) -> EvalReport:
         scores = []
         for start in range(0, len(impressions), 128):
             chunk = impressions[start:start + 128]
-            u = model.encode_users(news_emb, histories[start:start + 128],
-                                   [model.user_idx(imp.user_id) for imp in chunk])
-            for imp, u_i in zip(chunk, u.data):
+            u = model.encode_users(
+                news_emb, histories[start:start + 128],
+                [model.user_idx(imp.user_id) for imp in chunk]).data
+            _check_finite(u, [imp.impression_id for imp in chunk],
+                          "user vector for impression")
+            for imp, u_i in zip(chunk, u):
                 rows = [table.index[n] for n, _ in imp.candidates]
                 scores.append(news_emb[rows] @ u_i)
+    _check_finite(scores, [imp.impression_id for imp in impressions],
+                  "score for impression")
 
     report = score_impressions(zip(scores, labels))
     report.metadata = {"model_hash": model.spec.config_hash(),

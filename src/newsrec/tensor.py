@@ -341,11 +341,13 @@ def matmul(a, b, bias=None) -> Tensor:
     if bias is not None:
         raise ShapeError("matmul takes a bias only with a 2-D right operand")
 
-    out = Tensor._make(ad @ bd)
+    # einsum's unoptimised loops call no BLAS, whose GEMV and GEMM regroup
+    # a row's sums with the batch size and under trailing zeros
+    out = Tensor._make(np.einsum("...ij,...jk->...ik", ad, bd))
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        ga = _unbroadcast(np.einsum("...ik,...jk->...ij", g, bd), ad.shape)
+        gb = _unbroadcast(np.einsum("...ij,...ik->...jk", ad, g), bd.shape)
         return (ga, gb)
 
     return _record((a, b), out, bwd)
@@ -535,14 +537,7 @@ def attention(x, rows, key_bias, wq, bq, wk, bk, wv, bv, wo, bo,
     att = q @ np.swapaxes(k, -1, -2)
     att *= scale
     att += key_bias
-    # each row's max as M elementwise maxima over the key axis: the value of
-    # att.max(axis=-1), without numpy's per-row loop over short rows
-    row_max = att[..., 0].copy()
-    for j in range(1, M):
-        np.maximum(row_max, att[..., j], out=row_max)
-    att -= row_max[..., None]
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    _softmax_rows(att)
     ctx = np.empty((B * M, d))
     np.matmul(att, v, out=ctx.reshape(B, M, num_heads, dk).transpose(0, 2, 1, 3))
     ctx = ctx[rows]
@@ -559,7 +554,7 @@ def attention(x, rows, key_bias, wq, bq, wk, bk, wv, bv, wo, bo,
         np.matmul(np.swapaxes(att, -1, -2), g_ctx, out=gv)
         # softmax Jacobian in place: att * (g_att - sum(g_att * att)), scaled
         g_att = g_ctx @ np.swapaxes(v, -1, -2)
-        g_att -= (g_att * att).sum(axis=-1, keepdims=True)
+        g_att -= _row_sum(g_att * att)
         g_att *= att
         g_att *= scale
         np.matmul(g_att, k, out=gq)
@@ -647,37 +642,56 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """The last-axis sum (kept as a length-1 axis), column by column from the
+    left: trailing zero columns add exact zeros, unlike numpy's pairwise sum."""
+    s = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        s += x[..., j:j + 1]
+    return s
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Last-axis softmax of ``x`` in place, with the columns' elementwise
+    maxima as row max and ``_row_sum``'s row sum; returns ``x``."""
+    row_max = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j:j + 1], out=row_max)
+    x -= row_max
+    np.exp(x, out=x)
+    x /= _row_sum(x)
+    return x
+
+
+def softmax(x) -> Tensor:
+    """Softmax over the last axis, by the kernel ``attention`` uses."""
     xd = _data(x)
-    if xd.shape == () or xd.shape[axis] == 0:
+    if xd.shape == () or xd.shape[-1] == 0:
         raise ShapeError("softmax over an empty axis")
-    y = xd - xd.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y = _softmax_rows(xd.copy())
     out = Tensor._make(y)
 
     def bwd(g):
         gx = g * y
-        dot = gx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gx)
+        np.subtract(g, _row_sum(gx), out=gx)
         gx *= y
         return (gx,)
 
     return _record((x,), out, bwd)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
+def log_softmax(x) -> Tensor:
     xd = _data(x)
-    if xd.shape == () or xd.shape[axis] == 0:
+    if xd.shape == () or xd.shape[-1] == 0:
         raise ShapeError("log_softmax over an empty axis")
-    y = xd - xd.max(axis=axis, keepdims=True)
+    y = xd - xd.max(axis=-1, keepdims=True)
     sm = np.exp(y)
-    y -= np.log(sm.sum(axis=axis, keepdims=True))
+    y -= np.log(sm.sum(axis=-1, keepdims=True))
     np.exp(y, out=sm)
     out = Tensor._make(y)
 
     def bwd(g):
-        gx = sm * g.sum(axis=axis, keepdims=True)
+        gx = sm * g.sum(axis=-1, keepdims=True)
         np.subtract(g, gx, out=gx)
         return (gx,)
 

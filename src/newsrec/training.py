@@ -110,7 +110,7 @@ def listwise_loss(scores: Tensor, labels) -> Tensor:
     if np.any((labels < 0) | (labels >= n)):
         raise IndexError(f"label out of range for {n} candidates")
     onehot = (labels[..., None] == np.arange(n)).astype(np.float64)
-    ls = T.log_softmax(scores, axis=-1)
+    ls = T.log_softmax(scores)
     return T.reduce_sum(ls * onehot) * (-1.0 / labels.size)
 
 

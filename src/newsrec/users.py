@@ -4,11 +4,15 @@ optionally a user id) into one user embedding.
 Five interchangeable encoders: a GRU over the click sequence, additive
 attention, personalized attention with a user-id query, a GRU seeded from
 a long-term user embedding, and self-attention followed by additive
-attention.  A row with no real click still gets a finite embedding, the
-same alone or inside a batch except under ``nrms``, whose additive-attention
-mean of W equal rows varies in its last bits with the batch's history width
-W.  A history axis of length zero encodes as one all-masked slot.  The two
-GRU encoders run their whole scan as one tape op, ``tensor.gru_scan``.
+attention.  A user's vector is bitwise the same with trailing masked
+slots and beside any other users, in batches of at least two users: a
+batch of one sends the GRU's and the projections' products to BLAS's GEMV,
+which rounds otherwise.  A row with no real click still gets a finite
+embedding, the same alone or inside a batch except under ``nrms``, whose
+additive-attention mean of W equal rows varies in its last bits with the
+batch's history width W.  A history axis of length zero encodes as one
+all-masked slot.  The two GRU encoders run their whole scan as one tape
+op, ``tensor.gru_scan``.
 """
 
 from __future__ import annotations
@@ -126,13 +130,13 @@ class NpaUserEncoder(UserEncoderBase):
 
     def forward(self, hist, mask, user_idx=None):
         hist, mask = _at_least_one_slot(hist, mask)
-        B, _, d = hist.shape
+        B = hist.shape[0]
         if user_idx is None:
             user_idx = np.full(B, FALLBACK_USER_INDEX, dtype=np.int64)
         e_user = T.embedding_lookup(self.params["user_emb"], user_idx)
         q = T.tanh(e_user @ self.params["query.w"])
         return additive_attention(hist, mask, self.params["attn.w"],
-                                  self.params["attn.b"], T.reshape(q, (B, d, 1)))
+                                  self.params["attn.b"], q)
 
 
 class LsturUserEncoder(UserEncoderBase):

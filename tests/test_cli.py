@@ -456,9 +456,14 @@ class TestGenData:
         result = runner.invoke(main, ["gen-data", "--config", str(cfg),
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
-        for market in ("EN-US", "DE-DE"):
-            assert (out / f"news.{market}.tsv").exists()
-            assert (out / f"behaviors.{market}.tsv").exists()
+        digest = hashlib.sha256()
+        for kind in ("behaviors", "news"):
+            for market in ("DE-DE", "EN-US"):
+                name = f"{kind}.{market}.tsv"
+                digest.update(name.encode() + (out / name).read_bytes())
+        # the bytes that gen-data wrote when the spec kept its markets in a list
+        assert digest.hexdigest() == ("283e99541f340655dda98ccb4f2a8ff6"
+                                      "d27bc68020a5f42489d46711615598fb")
 
 
 class TestDatasetPaths:
@@ -757,6 +762,35 @@ class TestNonFiniteCheckpoint:
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"data error: non-finite values in {name!r}\n"
         assert not out.exists()
+
+
+class TestNonFiniteForward:
+    """Finite weights whose forward pass overflows end in exit 4, naming the
+    first news whose embedding is not finite, before any output is written."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command,output", [
+        ("evaluate", "report.json"), ("export-embeddings", "embeddings_2d.csv")])
+    def test_is_numerical_abort_naming_the_news(self, runner, tmp_path,
+                                                command, output):
+        cfg = _write_config(tmp_path)
+        result = runner.invoke(main, ["train", "--config", str(cfg),
+                                      "--out", str(tmp_path / "src")])
+        assert result.exit_code == 0, result.output
+        ckpt = tmp_path / "src" / "model.ckpt"
+        arrays = load_checkpoint(ckpt)
+        arrays["news.token_emb"][[1, 3, 5, 7]] = 1e300
+        save_checkpoint(ckpt, {k: Tensor._make(v) for k, v in arrays.items()})
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(out), "--checkpoint",
+                                      str(ckpt)])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == ("numerical abort: non-finite embedding for "
+                                 "news N3\n")
+        assert not (out / output).exists()
 
 
 class TestCompare:

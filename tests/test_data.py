@@ -230,6 +230,13 @@ class TestSynthetic:
         with pytest.raises(dataclasses.FrozenInstanceError):
             SyntheticSpec().num_users = 3
 
+    def test_spec_is_hashable_and_its_markets_immutable(self):
+        spec = SyntheticSpec(markets=["EN-US", "DE-DE"])
+        assert spec.markets == ("EN-US", "DE-DE")
+        assert hash(spec) == hash(SyntheticSpec(markets=("EN-US", "DE-DE")))
+        with pytest.raises(AttributeError):
+            spec.markets.append("EN-US")
+
     def test_deterministic(self):
         spec = SyntheticSpec(num_users=15, num_news=40, impressions_per_user=4)
         a = generate_synthetic(spec)["EN-US"]

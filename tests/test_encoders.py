@@ -8,14 +8,16 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from dense_oracles import (bucketed_embed, dense_mini_plm_forward,
-                           dense_self_attn_forward)
+from dense_oracles import dense_mini_plm_forward, dense_self_attn_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsrec import encoders
 from newsrec import tensor as T
 from newsrec.encoders import (CNN, MINI_PLM, POOL_MODES, SELF_ATTN,
                               NewsEncoderSpec, apply_finetune_policy,
-                              build_news_encoder, param_count, pool_batch)
+                              build_news_encoder, param_count, pool_batch,
+                              trim_padding)
 from newsrec.model import ModelSpec, Recommender
 from newsrec.tensor import ComputationTape, ShapeError, Tensor, load_checkpoint
 from newsrec.text import build_vocab
@@ -281,6 +283,46 @@ class TestPaddingInvariance:
             enc.embed(np.zeros((2, M), dtype=np.int64), np.zeros((2, M)))
 
 
+class TestBatchInvariance:
+    """A title's embedding is bitwise the same alone at its trimmed width,
+    padded, at any place in any batch, in the runner's blocks and over an
+    open frozen prefix, in every batch of at least two real tokens (a
+    product with one row goes to BLAS's GEMV, which rounds otherwise)."""
+
+    @pytest.mark.parametrize("kind", (CNN, SELF_ATTN, MINI_PLM))
+    @pytest.mark.parametrize("pooling", POOL_MODES)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_batch(self, kind, pooling, data):
+        width = M + 5  # the longest title plus PAD columns
+        enc = build_news_encoder(_spec(kind, pooling=pooling, depth=2,
+                                       finetune_last_k=1), VOCAB, width,
+                                 seed=31)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for p in enc.params.values():  # large enough to round differently
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+        if kind == MINI_PLM:
+            apply_finetune_policy(enc)  # the embeddings and block 0 frozen
+        lengths = data.draw(st.lists(st.integers(1, M), min_size=2,
+                                     max_size=10))
+        ids, mask = _ragged_batch(rng, lengths, m=width)
+        ref = enc._embed_block(ids, mask).data  # padded to ``width``
+        for i, n in enumerate(lengths):
+            if n >= 2:
+                alone = enc._embed_block(ids[i:i + 1, :n], mask[i:i + 1, :n])
+                assert alone.data.tobytes() == ref[i].tobytes()
+        sub = np.asarray(data.draw(st.permutations(range(len(lengths))))[
+            :data.draw(st.integers(2, len(lengths)))])
+        part = enc._embed_block(*trim_padding(ids[sub], mask[sub])).data
+        assert part.tobytes() == ref[sub].tobytes()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(encoders, "ENCODE_BLOCK", 3)
+            assert enc.embed(ids, mask).data.tobytes() == ref.tobytes()
+        with enc.frozen_prefix(ids, mask), ComputationTape():
+            cached = enc.embed(ids[sub], mask[sub]).data
+        assert cached.tobytes() == ref[sub].tobytes()
+
+
 @contextmanager
 def _on_cores(cores):
     """Run ``encoders`` as on ``cores`` cores.  Yields a list that gets
@@ -310,7 +352,7 @@ def _on_cores(cores):
 
 def _split_batch(rng, n=400):
     """``n`` titles of mixed lengths: the first half at most 5 tokens long,
-    so that the shortest chunks are narrower than the batch's width."""
+    so that the shortest blocks are narrower than the batch's width."""
     lengths = np.concatenate([rng.integers(1, 6, size=n // 2),
                               rng.integers(1, M + 1, size=n - n // 2)])
     lengths[-1] = M
@@ -318,9 +360,9 @@ def _split_batch(rng, n=400):
 
 
 class TestSplitEmbed:
-    """A no-tape ``embed`` runs length-sorted chunks of ENCODE_CHUNK titles
-    as blocks of at most ENCODE_BLOCK, one per core, on a pool that lives
-    for the call; the bits are the chunk rule's (``bucketed_embed``)."""
+    """A no-tape ``embed`` runs length-sorted blocks of at most
+    ENCODE_BLOCK titles, one per core, on a pool that lives for the call;
+    the bits are one pass's over the trimmed batch."""
 
     @pytest.fixture(autouse=True)
     def _switch_threads_often(self):
@@ -339,8 +381,8 @@ class TestSplitEmbed:
         enc = build_news_encoder(_spec(kind, pooling=pooling, depth=3), VOCAB,
                                  M, seed=21)
         ids, mask = _split_batch(np.random.default_rng(21))
-        ref = bucketed_embed(enc, ids, mask)
-        # 400 titles: chunks of 256 and 144, blocks of 128, 128 | 128, 16
+        ref = enc._embed_block(*trim_padding(ids, mask)).data
+        # 400 titles: blocks of 128, 128, 128 and 16
         for cores, pools in ((1, []), (2, [[2, 4]]), (3, [[3, 4]]),
                              (4, [[4, 4]])):
             with _on_cores(cores) as opened:

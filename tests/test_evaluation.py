@@ -10,19 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracles import bucketed_embed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newsrec import encoders
+from newsrec import encoders, evaluation
 from newsrec.data import SyntheticSpec, generate_synthetic
 from newsrec.encoders import (ENCODER_KINDS, POOL_MODES, NewsEncoderSpec,
-                              pool_batch)
+                              pool_batch, trim_padding)
 from newsrec.evaluation import (UndefinedMetric, _average_ranks,
                                 auc_impression, discriminability, encode_all_news, evaluate,
                                 mrr, ndcg_at_k, pca_project, score_impressions)
 from newsrec.model import ModelSpec, NewsTokenTable, Recommender
-from newsrec.tensor import Tensor
+from newsrec.tensor import NumericalError, Tensor
 from newsrec.text import build_vocab
 from newsrec.users import UserEncoderSpec
 
@@ -382,7 +381,7 @@ class TestEncodeAllNews:
         lengths = table.mask.sum(axis=1)
         assert len(set(lengths)) > 2 and np.any(np.diff(lengths) < 0)
         enc = model.news_encoder
-        monkeypatch.setattr(encoders, "ENCODE_CHUNK", 7)
+        monkeypatch.setattr(encoders, "ENCODE_BLOCK", 7)
         out = encode_all_news(model, table)
         assert out.shape == (len(table), enc.spec.d_model)
         for i in range(len(table)):
@@ -401,9 +400,10 @@ class TestEncodeAllNews:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("kind", ENCODER_KINDS)
-    def test_large_table_follows_the_chunk_rule(self, kind, monkeypatch):
+    def test_large_table_is_one_trimmed_pass(self, kind, monkeypatch):
         model, table, _ = _tiny_model(kind, num_news=300)
-        ref = bucketed_embed(model.news_encoder, table.ids, table.mask)
+        enc = model.news_encoder
+        ref = enc._embed_block(*trim_padding(table.ids, table.mask)).data
         for cores in (1, 2):
             monkeypatch.setattr(encoders, "_cores", lambda: cores)
             assert encode_all_news(model, table).tobytes() == ref.tobytes()
@@ -431,6 +431,28 @@ class TestEncodeAllNews:
 
 
 class TestEvaluate:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("news_value,user_value,what", [
+        (None, np.nan, "user vector"), (1e10, 1e300, "score")])
+    def test_non_finite_value_names_the_impression(self, news_value,
+                                                   user_value, what,
+                                                   monkeypatch):
+        model, table, imps = _tiny_model()
+        if news_value is not None:  # finite rows whose product overflows
+            monkeypatch.setattr(evaluation, "encode_all_news", lambda m, t: (
+                np.full((len(t), m.spec.news.d_model), news_value)))
+        encode = model.encode_users
+
+        def encode_users(*args):
+            u = encode(*args)
+            u.data[37] = user_value
+            return u
+
+        monkeypatch.setattr(model, "encode_users", encode_users)
+        with pytest.raises(NumericalError, match=(
+                f"^non-finite {what} for impression {imps[37].impression_id}$")):
+            evaluate(model, imps, table)
+
     def test_scores_and_metrics_match_batch_of_one_recompute(self):
         model, table, imps = _tiny_model()
         report = evaluate(model, imps, table)

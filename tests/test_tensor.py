@@ -130,7 +130,7 @@ class TestSoftmax:
     @settings(max_examples=50, deadline=None)
     @given(_finite_arrays((4, 6)))
     def test_rows_sum_to_one(self, x):
-        out = T.softmax(Tensor(x), axis=-1).data
+        out = T.softmax(Tensor(x)).data
         assert np.all(out >= 0.0)
         assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
 
@@ -568,7 +568,7 @@ def _composite_attention(x, key_bias, wq, bq, wk, bk, wv, bv, wo, bo, num_heads)
 
     qh, kh, vh = heads(x @ wq + bq), heads(x @ wk + bk), heads(x @ wv + bv)
     logits = (qh @ T.permute(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(dk))
-    att = T.softmax(logits + key_bias, axis=-1)
+    att = T.softmax(logits + key_bias)
     ctx = T.reshape(T.permute(att @ vh, (0, 2, 1, 3)), (B, M, d))
     return ctx @ wo + bo
 

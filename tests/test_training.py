@@ -276,11 +276,6 @@ class TestFrozenPrefix:
     runs only the trainable layers on the tape."""
 
     def test_one_epoch_equals_a_taped_prefix_oracle(self):
-        # Every batch and every cache chunk here is 8 to 15 tokens wide.
-        # Attention sums its softmax over the key axis, and numpy adds fewer
-        # than 8 keys in sequence but 8 or more as eight running sums, so a
-        # title's frozen rows computed at widths on both sides of 8 can
-        # differ in the last bits.
         model, table, samples, _ = _finetune_setup()
         oracle, _, _, _ = _finetune_setup()
         oracle.news_encoder.forward = (

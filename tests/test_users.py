@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from dense_oracles import dense_nrms_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsrec import tensor as T
 from newsrec.encoders import NewsEncoderSpec, param_count
@@ -322,6 +324,36 @@ class TestAllEncoders:
         one_slot = enc.forward(Tensor(np.zeros((2, 1, D))), np.zeros((2, 1)), uidx)
         assert empty.shape == (2, D)
         assert np.array_equal(empty.data, one_slot.data)
+
+
+class TestBatchInvariance:
+    """A user's vector is bitwise the same with trailing masked slots and
+    beside any other users, in batches of at least two users (a batch of
+    one sends the products to BLAS's GEMV, which rounds otherwise)."""
+
+    @pytest.mark.parametrize("kind", USER_ENCODER_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_batch(self, kind, data):
+        enc = _enc(kind, seed=40, d_model=16, user_table_size=12)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for p in enc.params.values():  # large enough to round differently
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+        # nrms gives a row with no click the mean of W equal rows, whose
+        # last bits depend on W
+        shortest = 1 if kind == "nrms" else 0
+        lengths = np.asarray(data.draw(st.lists(
+            st.integers(shortest, 12), min_size=2, max_size=8)))
+        width = lengths.max() + data.draw(st.integers(1, 9))
+        mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
+        hist = rng.normal(size=(len(lengths), width, 16)) * mask[..., None]
+        uidx = rng.integers(0, 12, size=len(lengths))
+        ref = enc.forward(Tensor(hist), mask, uidx).data
+        sub = np.asarray(data.draw(st.permutations(range(len(lengths))))[
+            :data.draw(st.integers(2, len(lengths)))])
+        w = lengths[sub].max()  # the subset's own width
+        part = enc.forward(Tensor(hist[sub, :w]), mask[sub, :w], uidx[sub])
+        assert part.data.tobytes() == ref[sub].tobytes()
 
 
 class TestSpecValidation:
